@@ -25,7 +25,8 @@ use rrmp_core::ids::{MessageId, SeqNo};
 use rrmp_core::loss::LossDetector;
 use rrmp_core::packet::DataPacket;
 use rrmp_netsim::loss::DeliveryPlan;
-use rrmp_netsim::sim::{Ctx, Sim, SimNode};
+use rrmp_netsim::shard::ShardedSim;
+use rrmp_netsim::sim::{Ctx, SimNode};
 use rrmp_netsim::time::{SimDuration, SimTime};
 use rrmp_netsim::topology::{NodeId, Topology};
 
@@ -199,7 +200,7 @@ impl SimNode for HashNode {
 /// A simulated group running the hash-buffering baseline.
 #[derive(Debug)]
 pub struct HashNetwork {
-    sim: Sim<HashNode>,
+    sim: ShardedSim<HashNode>,
     sender: NodeId,
     next_seq: SeqNo,
     sent_at: HashMap<MessageId, SimTime>,
@@ -212,7 +213,7 @@ impl HashNetwork {
         let members: Vec<NodeId> = topo.nodes().collect();
         let nodes =
             topo.nodes().map(|id| HashNode::new(id, members.clone(), cfg.clone())).collect();
-        let sim = Sim::new(topo, nodes, seed);
+        let sim = ShardedSim::new(topo, nodes, seed, 1);
         HashNetwork { sim, sender: NodeId(0), next_seq: SeqNo::FIRST, sent_at: HashMap::new() }
     }
 

@@ -23,7 +23,8 @@ use rrmp_core::ids::{MessageId, SeqNo};
 use rrmp_core::loss::LossDetector;
 use rrmp_core::packet::DataPacket;
 use rrmp_netsim::loss::DeliveryPlan;
-use rrmp_netsim::sim::{Ctx, Sim, SimNode};
+use rrmp_netsim::shard::ShardedSim;
+use rrmp_netsim::sim::{Ctx, SimNode};
 use rrmp_netsim::time::{SimDuration, SimTime};
 use rrmp_netsim::topology::{NodeId, Topology};
 
@@ -185,7 +186,7 @@ impl SimNode for SenderBasedNode {
 /// A simulated group running sender-based recovery.
 #[derive(Debug)]
 pub struct SenderBasedNetwork {
-    sim: Sim<SenderBasedNode>,
+    sim: ShardedSim<SenderBasedNode>,
     sender: NodeId,
     next_seq: SeqNo,
     sent_at: HashMap<MessageId, SimTime>,
@@ -197,7 +198,7 @@ impl SenderBasedNetwork {
     pub fn new(topo: Topology, cfg: SenderBasedConfig, seed: u64) -> Self {
         let nodes =
             topo.nodes().map(|id| SenderBasedNode::new(id, NodeId(0), cfg.clone())).collect();
-        let sim = Sim::new(topo, nodes, seed);
+        let sim = ShardedSim::new(topo, nodes, seed, 1);
         SenderBasedNetwork {
             sim,
             sender: NodeId(0),

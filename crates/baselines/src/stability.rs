@@ -15,7 +15,8 @@ use rrmp_core::ids::{MessageId, SeqNo};
 use rrmp_core::loss::LossDetector;
 use rrmp_core::packet::DataPacket;
 use rrmp_netsim::loss::DeliveryPlan;
-use rrmp_netsim::sim::{Ctx, Sim, SimNode};
+use rrmp_netsim::shard::ShardedSim;
+use rrmp_netsim::sim::{Ctx, SimNode};
 use rrmp_netsim::time::{SimDuration, SimTime};
 use rrmp_netsim::topology::{NodeId, Topology};
 
@@ -233,7 +234,7 @@ impl SimNode for StabilityNode {
             let others: Vec<NodeId> =
                 self.members.iter().copied().filter(|&m| m != self.id).collect();
             self.history_sent += others.len() as u64;
-            ctx.send_all(others, StabilityPacket::History { ack });
+            ctx.send_many(others, StabilityPacket::History { ack });
             ctx.set_timer(self.cfg.history_interval, HISTORY_TICK);
             return;
         }
@@ -248,7 +249,7 @@ impl SimNode for StabilityNode {
 /// A simulated group running stability-detection buffering.
 #[derive(Debug)]
 pub struct StabilityNetwork {
-    sim: Sim<StabilityNode>,
+    sim: ShardedSim<StabilityNode>,
     sender: NodeId,
     next_seq: SeqNo,
     sent_at: HashMap<MessageId, SimTime>,
@@ -263,7 +264,7 @@ impl StabilityNetwork {
             .nodes()
             .map(|id| StabilityNode::new(id, members.clone(), NodeId(0), cfg.clone()))
             .collect();
-        let sim = Sim::new(topo, nodes, seed);
+        let sim = ShardedSim::new(topo, nodes, seed, 1);
         StabilityNetwork { sim, sender: NodeId(0), next_seq: SeqNo::FIRST, sent_at: HashMap::new() }
     }
 

@@ -19,7 +19,8 @@ use rrmp_core::ids::{MessageId, SeqNo};
 use rrmp_core::loss::LossDetector;
 use rrmp_core::packet::DataPacket;
 use rrmp_netsim::loss::DeliveryPlan;
-use rrmp_netsim::sim::{Ctx, Sim, SimNode};
+use rrmp_netsim::shard::ShardedSim;
+use rrmp_netsim::sim::{Ctx, SimNode};
 use rrmp_netsim::time::{SimDuration, SimTime};
 use rrmp_netsim::topology::{NodeId, Topology};
 
@@ -221,7 +222,7 @@ impl SimNode for TreeNode {
 /// topology's region hierarchy.
 #[derive(Debug)]
 pub struct TreeNetwork {
-    sim: Sim<TreeNode>,
+    sim: ShardedSim<TreeNode>,
     sender: NodeId,
     next_seq: SeqNo,
     sent_at: HashMap<MessageId, SimTime>,
@@ -245,7 +246,7 @@ impl TreeNetwork {
                 TreeNode::new(id, repair_server, parent_server, cfg.clone())
             })
             .collect();
-        let sim = Sim::new(topo, nodes, seed);
+        let sim = ShardedSim::new(topo, nodes, seed, 1);
         TreeNetwork { sim, sender: NodeId(0), next_seq: SeqNo::FIRST, sent_at: HashMap::new() }
     }
 

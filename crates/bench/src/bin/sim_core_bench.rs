@@ -1,7 +1,6 @@
 //! Reproducible simulator hot-path benchmark: times the optimized paths
-//! this refactor introduced against faithful reconstructions of the
-//! pre-refactor implementation, on identical deterministic workloads, and
-//! writes `BENCH_sim_core.json`.
+//! against baselines that reconstruct the pre-optimization costs, on
+//! identical deterministic workloads, and writes `BENCH_sim_core.json`.
 //!
 //! Run via `scripts/bench.sh` (release build) or directly:
 //!
@@ -11,25 +10,23 @@
 //!
 //! Workloads (optimized vs pre-refactor baseline):
 //!
-//! * `event_loop` — timer-and-unicast storm: reused scratch op buffer +
-//!   slab timers vs a fresh `Vec` per callback.
 //! * `multicast_fanout` — 1 KiB payload to 200 destinations per
 //!   multicast: one `send_many` op sharing an `Arc`-backed `Bytes`
-//!   payload vs the pre-refactor shape (per-callback allocation, one op
-//!   per destination, deep per-destination payload copies — the seed had
-//!   no zero-copy buffer type).
+//!   payload on the simulator vs a bench-local baseline with the
+//!   pre-refactor costs (heap-based reference queue, a fresh op `Vec` per
+//!   callback, one op, one queue entry and one deep payload copy per
+//!   destination — the seed had no zero-copy buffer type).
 //! * `delivered_query` — `has_delivered` via the per-source interval
 //!   index vs the historical linear scan of the delivery log.
 //! * `encode_reuse` — `encode_into` a reused buffer vs a freshly
 //!   allocated, growing buffer per packet (the historical `encode`).
-//! * `rrmp_e2e` — the full protocol recovering a half-lost multicast
-//!   stream, optimized end to end vs the reference host and event loop.
-//! * `fault_path` — the `rrmp_e2e` run unarmed vs armed with an inert
+//! * `fault_path` — the full protocol recovering a half-lost multicast
+//!   stream on a 100-member region, unarmed vs armed with an inert
 //!   `FaultPlan` (far-future windows plus a p=0 duplication spanning the
 //!   run): identical traces by construction, so the ratio is the pure
 //!   cost of the per-copy fault hook. Proves the unarmed hook (one
 //!   `Option` check) costs nothing on fault-free runs.
-//! * `trace_path` — the `rrmp_e2e` run unarmed vs armed with the full
+//! * `trace_path` — the `fault_path` run unarmed vs armed with the full
 //!   observer (ring-buffered trace sinks on every receiver and the
 //!   engine, samplers off so both arms process identical event
 //!   sequences): the ratio is the pure cost of the tracing hooks, and
@@ -62,16 +59,15 @@
 //!   100k; the workload is then named `members_scale`), `--members-only`
 //!   skips everything else.
 //!
-//! Every workload is deterministic per seed; optimized and reference
-//! modes process byte-identical event sequences (asserted by the
-//! trace-equality tests), so wall-clock ratios isolate the hot-path
-//! changes.
+//! Every workload is deterministic per seed and both arms of a workload do
+//! identical work (each comparison asserts equal work counts), so
+//! wall-clock ratios isolate the hot-path changes.
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use bytes::{Bytes, BytesMut};
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rrmp_baselines::ported::{multicast_with_session, policy_config};
 use rrmp_baselines::{
     HashConfig, HashNetwork, SenderBasedConfig, SenderBasedNetwork, StabilityConfig,
@@ -85,8 +81,8 @@ use rrmp_core::prelude::{DampingConfig, ProtocolConfig, TraceConfig, WatchdogCon
 use rrmp_netsim::event::{EventQueue, ReferenceEventQueue, Scheduler};
 use rrmp_netsim::fault::FaultPlan;
 use rrmp_netsim::loss::{DeliveryPlan, LossModel};
-use rrmp_netsim::shard::ShardPlacement;
-use rrmp_netsim::sim::{Ctx, Sim, SimNode};
+use rrmp_netsim::shard::{ShardPlacement, ShardedSim};
+use rrmp_netsim::sim::{Ctx, NetCounters, SimNode};
 use rrmp_netsim::time::{SimDuration, SimTime};
 use rrmp_netsim::topology::{presets, NodeId, RegionId, Topology};
 
@@ -106,84 +102,180 @@ fn best_secs<F: FnMut() -> u64>(runs: usize, mut f: F) -> (f64, u64) {
     (best, work)
 }
 
-// ----- workload 1: timer + unicast event storm ------------------------------
+// ----- workload 1: regional fan-out -----------------------------------------
 
-/// On every timer fire: send to a random peer, re-arm, and arm-then-cancel
-/// a decoy timer (exercising slab reuse).
-struct PingNode {
+/// Members in the fan-out region; node 0 multicasts to the other 199.
+const FANOUT_MEMBERS: usize = 200;
+/// Node 0 multicasts every 100 µs up to this horizon: 3,000 multicasts.
+const FANOUT_HORIZON: SimTime = SimTime::from_millis(300);
+const FANOUT_INTERVAL: SimDuration = SimDuration::from_micros(100);
+
+/// Node 0 multicasts `payload` to the whole region on every timer fire.
+struct Caster {
     payload: Bytes,
+    casts: u64,
 }
 
-impl SimNode for PingNode {
+impl SimNode for Caster {
     type Msg = Bytes;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Bytes>) {
-        ctx.set_timer(SimDuration::from_micros(100), 0);
+        if ctx.self_id() == NodeId(0) {
+            ctx.set_timer(FANOUT_INTERVAL, 0);
+        }
     }
 
     fn on_packet(&mut self, _ctx: &mut Ctx<'_, Bytes>, _from: NodeId, _msg: Bytes) {}
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Bytes>, _token: u64) {
         let n = ctx.topology().node_count() as u32;
-        let mut to = NodeId(ctx.rng().gen_range(0..n));
-        if to == ctx.self_id() {
-            to = NodeId((to.0 + 1) % n);
-        }
-        ctx.send(to, self.payload.clone());
-        let decoy = ctx.set_timer(SimDuration::from_micros(50), 1);
-        ctx.cancel_timer(decoy);
-        ctx.set_timer(SimDuration::from_micros(100), 0);
+        ctx.send_many((0..n).map(NodeId), self.payload.clone());
+        self.casts += 1;
+        ctx.set_timer(FANOUT_INTERVAL, 0);
     }
 }
 
-fn event_loop_workload(optimized: bool) -> (f64, u64) {
+fn fanout_workload(payload: &Bytes) -> (f64, u64) {
     best_secs(3, || {
-        let topo = presets::paper_region(64);
-        let payload = Bytes::from(vec![0xA5u8; 64]);
-        let nodes = (0..64).map(|_| PingNode { payload: payload.clone() }).collect();
-        let mut sim =
-            if optimized { Sim::new(topo, nodes, 42) } else { Sim::new_reference(topo, nodes, 42) };
-        sim.run_until(SimTime::from_millis(400));
-        sim.counters().events_processed
+        let topo = presets::paper_region(FANOUT_MEMBERS);
+        let nodes =
+            (0..FANOUT_MEMBERS).map(|_| Caster { payload: payload.clone(), casts: 0 }).collect();
+        let mut sim = ShardedSim::new(topo, nodes, 7, 1);
+        sim.run_until(FANOUT_HORIZON);
+        sim.node(NodeId(0)).casts
     })
 }
 
-// ----- workload 2: regional fan-out -----------------------------------------
+/// A queue entry of the pre-refactor event loop. The variants mirror that
+/// engine's event type, batch delivery included (never scheduled here), so
+/// heap entries keep its 56-byte layout: entry size is what every heap
+/// sift moves.
+enum RefEvent {
+    Deliver {
+        to: NodeId,
+        from: NodeId,
+        msg: Vec<u8>,
+    },
+    #[allow(dead_code)]
+    DeliverBatch {
+        from: NodeId,
+        targets: Vec<NodeId>,
+        msg: Vec<u8>,
+    },
+    Timer {
+        node: NodeId,
+        token: u64,
+    },
+}
 
-/// Node 0 multicasts `payload` to the whole region on every timer fire.
-struct Caster<M: Clone> {
-    payload: M,
+/// A side effect buffered during one callback of the pre-refactor loop.
+/// As with [`RefEvent`], the fan-out variant of that engine's op type
+/// rides along unused so ops keep its 40-byte layout: a multicast pushes
+/// (and regrows the buffer over) one op per destination.
+enum RefOp {
+    Send {
+        to: NodeId,
+        msg: Vec<u8>,
+    },
+    #[allow(dead_code)]
+    SendMany {
+        start: u32,
+        len: u32,
+        msg: Vec<u8>,
+    },
+    SetTimer {
+        token: u64,
+        at: SimTime,
+    },
+}
+
+/// The fan-out workload with the pre-refactor costs — the baseline of the
+/// enforced `multicast_fanout` gate: the heap-based [`ReferenceEventQueue`],
+/// a fresh op `Vec` per callback, and one op, one queue entry and one deep
+/// payload copy per destination (the seed had no zero-copy buffer type).
+struct ReferenceFanout {
+    topo: Topology,
+    queue: ReferenceEventQueue<RefEvent>,
+    now: SimTime,
+    counters: NetCounters,
+    loss: LossModel,
+    loss_rng: rand::rngs::StdRng,
+    payload: Vec<u8>,
     casts: u64,
 }
 
-impl<M: Clone + 'static> SimNode for Caster<M> {
-    type Msg = M;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, M>) {
-        if ctx.self_id() == NodeId(0) {
-            ctx.set_timer(SimDuration::from_micros(100), 0);
+impl ReferenceFanout {
+    /// Runs the workload; returns node 0's multicast count.
+    fn run(payload: &[u8]) -> u64 {
+        let mut sim = ReferenceFanout {
+            topo: presets::paper_region(FANOUT_MEMBERS),
+            queue: ReferenceEventQueue::new(),
+            now: SimTime::ZERO,
+            counters: NetCounters::default(),
+            loss: LossModel::None,
+            loss_rng: rand::rngs::StdRng::seed_from_u64(7),
+            payload: payload.to_vec(),
+            casts: 0,
+        };
+        let first = SimTime::ZERO + FANOUT_INTERVAL;
+        sim.queue.schedule(first, RefEvent::Timer { node: NodeId(0), token: 0 });
+        while let Some((at, event)) = sim.queue.pop_at_or_before(FANOUT_HORIZON) {
+            sim.now = at;
+            sim.counters.events_processed += 1;
+            let mut ops = Vec::new();
+            let from = match event {
+                RefEvent::Deliver { to, from, msg } => {
+                    sim.counters.delivered += 1;
+                    black_box((from, msg));
+                    to
+                }
+                RefEvent::Timer { node, token } => {
+                    sim.counters.timers_fired += 1;
+                    sim.on_timer(node, token, &mut ops);
+                    node
+                }
+                RefEvent::DeliverBatch { .. } => unreachable!("never scheduled"),
+            };
+            for op in ops.drain(..) {
+                match op {
+                    RefOp::Send { to, msg } => sim.transmit(from, to, msg),
+                    RefOp::SetTimer { token, at } => {
+                        sim.counters.timers_set += 1;
+                        sim.queue.schedule(at, RefEvent::Timer { node: from, token });
+                    }
+                    RefOp::SendMany { .. } => unreachable!("never emitted"),
+                }
+            }
         }
+        black_box(sim.counters);
+        sim.casts
     }
 
-    fn on_packet(&mut self, _ctx: &mut Ctx<'_, M>, _from: NodeId, _msg: M) {}
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, _token: u64) {
-        let n = ctx.topology().node_count() as u32;
-        ctx.send_many((0..n).map(NodeId), self.payload.clone());
+    /// Node 0's multicast: one op and one deep payload copy per
+    /// destination.
+    fn on_timer(&mut self, me: NodeId, token: u64, ops: &mut Vec<RefOp>) {
+        let msg = self.payload.clone();
+        let n = self.topo.node_count() as u32;
+        for to in (0..n).map(NodeId).filter(|&to| to != me) {
+            ops.push(RefOp::Send { to, msg: msg.clone() });
+        }
         self.casts += 1;
-        ctx.set_timer(SimDuration::from_micros(100), 0);
+        ops.push(RefOp::SetTimer { token, at: self.now + FANOUT_INTERVAL });
+    }
+
+    fn transmit(&mut self, from: NodeId, to: NodeId, msg: Vec<u8>) {
+        self.counters.unicasts_sent += 1;
+        if self.loss.drops_unicast(&mut self.loss_rng) {
+            self.counters.unicasts_dropped += 1;
+            return;
+        }
+        let arrive = self.now + self.topo.one_way_latency(from, to);
+        self.queue.schedule(arrive, RefEvent::Deliver { to, from, msg });
     }
 }
 
-fn fanout_workload<M: Clone + 'static>(optimized: bool, payload: M) -> (f64, u64) {
-    best_secs(3, move || {
-        let topo = presets::paper_region(200);
-        let nodes = (0..200).map(|_| Caster { payload: payload.clone(), casts: 0 }).collect();
-        let mut sim =
-            if optimized { Sim::new(topo, nodes, 7) } else { Sim::new_reference(topo, nodes, 7) };
-        sim.run_until(SimTime::from_millis(300));
-        sim.node(NodeId(0)).casts
-    })
+fn reference_fanout_workload(payload: &[u8]) -> (f64, u64) {
+    best_secs(3, || ReferenceFanout::run(payload))
 }
 
 // ----- workload 3: delivered-set queries ------------------------------------
@@ -277,31 +369,10 @@ fn encode_reuse_workload() -> (f64, f64, u64) {
     (encodes as f64 / opt_s, encodes as f64 / ref_s, encodes)
 }
 
-// ----- workload 5: full protocol end to end ---------------------------------
-
-fn rrmp_workload(optimized: bool) -> (f64, u64) {
-    best_secs(3, || {
-        let topo = presets::paper_region(100);
-        let cfg = ProtocolConfig::paper_defaults();
-        let mut net = if optimized {
-            RrmpNetwork::new(topo, cfg, 7)
-        } else {
-            RrmpNetwork::new_reference(topo, cfg, 7)
-        };
-        for _ in 0..20 {
-            let plan = DeliveryPlan::only(net.topology(), (0..50).map(NodeId));
-            net.multicast_with_plan(&b"bench-payload-bench-payload"[..], &plan);
-            let next = net.now() + SimDuration::from_millis(30);
-            net.run_until(next);
-        }
-        net.run_until(net.now() + SimDuration::from_millis(500));
-        net.net_counters().events_processed
-    })
-}
-
 // ----- workload 5b: fault-hook overhead -------------------------------------
 
-/// The `rrmp_e2e` run again, unarmed vs armed with an inert plan: every
+/// The full protocol recovering a 20-message half-lost stream on a
+/// 100-member region, unarmed vs armed with an inert plan: every
 /// episode either sits in a far-future window (never active, but scanned
 /// per copy) or is a p=0 duplication spanning the whole run (active, so
 /// every surviving copy pays a window check plus a hash-oracle draw, but
@@ -334,7 +405,7 @@ fn fault_path_workload(armed: bool) -> (f64, u64) {
 
 // ----- workload 5b': observer-hook overhead ---------------------------------
 
-/// The `rrmp_e2e` run unarmed vs armed with the observer: ring-buffered
+/// The `fault_path` run unarmed vs armed with the observer: ring-buffered
 /// trace sinks on every receiver and the engine, samplers off
 /// (`sample_every: None`), so no extra timers fire and both arms process
 /// byte-identical event sequences. The ratio isolates the tracing hooks
@@ -407,7 +478,7 @@ fn overload_workload(damped: bool) -> (f64, u64) {
 
 // ----- workload 6: raw queue schedule/pop storm -----------------------------
 
-/// Sim-shaped queue churn at large-group scale: hold ~32k pending events,
+/// Simulator-shaped queue churn at large-group scale: hold ~32k pending events,
 /// pop the frontier and schedule a replacement at a deterministic
 /// pseudo-random delay, across eight runs reusing one queue (`clear`
 /// keeps allocations warm). Counts one unit of work per schedule+pop pair.
@@ -579,8 +650,9 @@ fn policy_matrix_shared_engine() -> (f64, u64) {
 }
 
 /// The same sweep the pre-refactor way: one duplicated protocol stack per
-/// algorithm (reference event loop for two-phase, the standalone
-/// `HashNetwork` / `SenderBasedNetwork` baselines for the others).
+/// algorithm (the core network for two-phase, the standalone
+/// `HashNetwork` / `SenderBasedNetwork` / `StabilityNetwork` /
+/// `TreeNetwork` baselines for the others).
 fn policy_matrix_legacy_stacks() -> (f64, u64) {
     best_secs(3, || {
         let mut delivered = 0u64;
@@ -591,7 +663,7 @@ fn policy_matrix_legacy_stacks() -> (f64, u64) {
                     let plans = matrix_plans(&topo, loss, n as u64 ^ (loss * 100.0) as u64);
                     match kind {
                         PolicyKind::TwoPhase => {
-                            let mut net = RrmpNetwork::new_reference(topo, policy_config(kind), 7);
+                            let mut net = RrmpNetwork::new(topo, policy_config(kind), 7);
                             let mut ids = Vec::new();
                             matrix_drive(
                                 &plans,
@@ -836,22 +908,9 @@ impl Comparison {
 /// The full differential suite (everything except the scaling flagship,
 /// which `main` runs first for a clean peak-RSS delta).
 fn run_core_workloads(comparisons: &mut Vec<Comparison>) {
-    eprintln!("event_loop: timer/unicast storm, 64 nodes ...");
-    let (opt_s, events) = event_loop_workload(true);
-    let (ref_s, ref_events) = event_loop_workload(false);
-    assert_eq!(events, ref_events, "both modes must process identical event counts");
-    comparisons.push(Comparison {
-        name: "event_loop",
-        unit: "events/sec",
-        optimized_rate: events as f64 / opt_s,
-        reference_rate: events as f64 / ref_s,
-        work: events,
-        extra: Vec::new(),
-    });
-
     eprintln!("multicast_fanout: 1 KiB payload to 200 destinations ...");
-    let (opt_s, casts) = fanout_workload(true, Bytes::from(vec![0x5Au8; 1024]));
-    let (ref_s, ref_casts) = fanout_workload(false, vec![0x5Au8; 1024]);
+    let (opt_s, casts) = fanout_workload(&Bytes::from(vec![0x5Au8; 1024]));
+    let (ref_s, ref_casts) = reference_fanout_workload(&[0x5Au8; 1024]);
     assert_eq!(casts, ref_casts);
     comparisons.push(Comparison {
         name: "multicast_fanout",
@@ -884,20 +943,7 @@ fn run_core_workloads(comparisons: &mut Vec<Comparison>) {
         extra: Vec::new(),
     });
 
-    eprintln!("rrmp_e2e: 100-member region, 20-message half-lost stream ...");
-    let (opt_s, events) = rrmp_workload(true);
-    let (ref_s, ref_events) = rrmp_workload(false);
-    assert_eq!(events, ref_events);
-    comparisons.push(Comparison {
-        name: "rrmp_e2e",
-        unit: "events/sec",
-        optimized_rate: events as f64 / opt_s,
-        reference_rate: events as f64 / ref_s,
-        work: events,
-        extra: Vec::new(),
-    });
-
-    eprintln!("fault_path: rrmp_e2e unarmed vs armed inert fault plan ...");
+    eprintln!("fault_path: 100-member half-lost stream, unarmed vs armed inert fault plan ...");
     let (opt_s, events) = fault_path_workload(false);
     let (ref_s, ref_events) = fault_path_workload(true);
     assert_eq!(events, ref_events, "an inert fault plan must not change the trace");
@@ -910,7 +956,7 @@ fn run_core_workloads(comparisons: &mut Vec<Comparison>) {
         extra: Vec::new(),
     });
 
-    eprintln!("trace_path: rrmp_e2e unarmed vs armed observer (samplers off) ...");
+    eprintln!("trace_path: fault_path run, unarmed vs armed observer (samplers off) ...");
     let (opt_s, events) = trace_path_workload(false);
     let (ref_s, ref_events) = trace_path_workload(true);
     assert_eq!(events, ref_events, "arming the observer must not change the trace");

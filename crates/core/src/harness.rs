@@ -14,7 +14,7 @@ use rrmp_membership::view::HierarchyView;
 use rrmp_netsim::fault::FaultPlan;
 use rrmp_netsim::loss::{DeliveryPlan, LossModel};
 use rrmp_netsim::shard::{ShardPlacement, ShardedSim};
-use rrmp_netsim::sim::{Ctx, NetCounters, Sim, SimNode};
+use rrmp_netsim::sim::{Ctx, NetCounters, SimNode};
 use rrmp_netsim::time::SimTime;
 use rrmp_netsim::topology::{NodeId, Topology};
 
@@ -57,11 +57,6 @@ pub struct RrmpNode {
     /// Reused action buffer: `Receiver::handle_into` fills it, `execute`
     /// drains it — no allocation per event in steady state.
     action_scratch: Vec<Action>,
-    /// True on nodes of a [`RrmpNetwork::new_reference`] network: restore
-    /// the pre-refactor host behavior (fresh action `Vec` per event,
-    /// members `Vec` per regional multicast, linear delivered scan) so the
-    /// benchmark baseline reflects what this refactor replaced.
-    reference_mode: bool,
 }
 
 impl RrmpNode {
@@ -81,7 +76,6 @@ impl RrmpNode {
             // first growth from jumping straight to four 80-byte actions
             // on every one of a million nodes.
             action_scratch: Vec::with_capacity(2),
-            reference_mode: false,
         }
     }
 
@@ -116,13 +110,9 @@ impl RrmpNode {
     }
 
     /// Whether `id` was delivered here. O(log #gaps) via the per-source
-    /// interval index, not a scan of the delivery log. (Reference-mode
-    /// nodes keep the historical linear scan as the benchmark baseline.)
+    /// interval index, not a scan of the delivery log.
     #[must_use]
     pub fn has_delivered(&self, id: MessageId) -> bool {
-        if self.reference_mode {
-            return self.delivered.iter().any(|&(_, d)| d == id);
-        }
         self.delivered_index.contains(id)
     }
 
@@ -152,29 +142,16 @@ impl RrmpNode {
                 }
             }
             Action::MulticastRegion { packet } => {
-                if self.reference_mode {
-                    // Pre-refactor shape: collect the members, then one op
-                    // and one clone per destination.
-                    let members: Vec<NodeId> = self.receiver.view().own().members().collect();
-                    ctx.send_all(members, packet);
-                } else {
-                    // One fan-out op sharing the packet (and its Bytes
-                    // payload) across every destination — no members Vec,
-                    // no deep copies.
-                    let members = self.receiver.view().own().members();
-                    ctx.send_many(members, packet);
-                }
+                // One fan-out op sharing the packet (and its Bytes
+                // payload) across every destination — no members Vec, no
+                // deep copies.
+                let members = self.receiver.view().own().members();
+                ctx.send_many(members, packet);
             }
             Action::Deliver { id, .. } => {
                 crate::vecmap::reserve_doubling(&mut self.delivered);
                 self.delivered.push((ctx.now(), id));
-                if !self.reference_mode {
-                    // Reference nodes answer has_delivered by scanning the
-                    // log, so maintaining the index would charge the
-                    // benchmark baseline a cost the historical code
-                    // never paid.
-                    self.delivered_index.insert(id);
-                }
+                self.delivered_index.insert(id);
             }
             Action::SetTimer { delay, kind } => {
                 let token = self.next_token;
@@ -190,14 +167,9 @@ impl RrmpNode {
         for action in actions {
             match action {
                 SenderAction::MulticastGroup { packet } => {
-                    if self.reference_mode {
-                        let everyone: Vec<NodeId> = ctx.topology().nodes().collect();
-                        ctx.send_all(everyone, packet);
-                    } else {
-                        // Group-wide fan-out is a single op; the simulator
-                        // expands it over the topology.
-                        ctx.send_group(packet);
-                    }
+                    // Group-wide fan-out is a single op; the simulator
+                    // expands it over the topology.
+                    ctx.send_group(packet);
                 }
                 SenderAction::Protocol(a) => self.execute_one(ctx, a),
             }
@@ -207,12 +179,6 @@ impl RrmpNode {
     /// Feeds `event` through the receiver and executes the resulting
     /// actions, reusing the node's scratch action buffer.
     fn handle_event(&mut self, ctx: &mut Ctx<'_, Packet>, event: Event) {
-        if self.reference_mode {
-            // Pre-refactor shape: a fresh action vector per event.
-            let mut actions = self.receiver.handle(event, ctx.now());
-            self.execute(ctx, &mut actions);
-            return;
-        }
         let mut actions = std::mem::take(&mut self.action_scratch);
         debug_assert!(actions.is_empty());
         self.receiver.handle_into(event, ctx.now(), &mut actions);
@@ -289,135 +255,11 @@ impl SimNode for RrmpNode {
     }
 }
 
-/// The simulation engine hosting an [`RrmpNetwork`]: the single-queue
-/// [`Sim`] (optimized or reference mode), or the conservatively parallel
-/// region-sharded [`ShardedSim`]. Every harness operation delegates; the
-/// two engines share the node type, the `Ctx` API, and the topology.
-// One engine lives per network (never in collections), so the size gap
-// between the variants costs nothing; boxing would put a pointer chase on
-// every harness call instead.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum SimEngine {
-    Single(Sim<RrmpNode>),
-    Sharded(ShardedSim<RrmpNode>),
-}
-
-impl SimEngine {
-    fn topology(&self) -> &Topology {
-        match self {
-            SimEngine::Single(s) => s.topology(),
-            SimEngine::Sharded(s) => s.topology(),
-        }
-    }
-
-    fn now(&self) -> SimTime {
-        match self {
-            SimEngine::Single(s) => s.now(),
-            SimEngine::Sharded(s) => s.now(),
-        }
-    }
-
-    fn counters(&self) -> NetCounters {
-        match self {
-            SimEngine::Single(s) => s.counters(),
-            SimEngine::Sharded(s) => s.counters(),
-        }
-    }
-
-    fn node(&self, id: NodeId) -> &RrmpNode {
-        match self {
-            SimEngine::Single(s) => s.node(id),
-            SimEngine::Sharded(s) => s.node(id),
-        }
-    }
-
-    fn node_mut(&mut self, id: NodeId) -> &mut RrmpNode {
-        match self {
-            SimEngine::Single(s) => s.node_mut(id),
-            SimEngine::Sharded(s) => s.node_mut(id),
-        }
-    }
-
-    fn nodes(&self) -> impl Iterator<Item = (NodeId, &RrmpNode)> {
-        self.topology().nodes().map(move |id| (id, self.node(id)))
-    }
-
-    fn inject(&mut self, to: NodeId, from: NodeId, msg: Packet, at: SimTime) {
-        match self {
-            SimEngine::Single(s) => s.inject(to, from, msg, at),
-            SimEngine::Sharded(s) => s.inject(to, from, msg, at),
-        }
-    }
-
-    fn inject_multicast_plan(
-        &mut self,
-        from: NodeId,
-        msg: &Packet,
-        plan: &DeliveryPlan,
-        at: SimTime,
-    ) {
-        match self {
-            SimEngine::Single(s) => s.inject_multicast_plan(from, msg, plan, at),
-            SimEngine::Sharded(s) => s.inject_multicast_plan(from, msg, plan, at),
-        }
-    }
-
-    fn schedule_external_timer(&mut self, node: NodeId, token: u64, at: SimTime) {
-        match self {
-            SimEngine::Single(s) => s.schedule_external_timer(node, token, at),
-            SimEngine::Sharded(s) => s.schedule_external_timer(node, token, at),
-        }
-    }
-
-    fn run_until(&mut self, t: SimTime) {
-        match self {
-            SimEngine::Single(s) => s.run_until(t),
-            SimEngine::Sharded(s) => s.run_until(t),
-        }
-    }
-
-    fn run_until_quiescent(&mut self, limit: SimTime) -> SimTime {
-        match self {
-            SimEngine::Single(s) => s.run_until_quiescent(limit),
-            SimEngine::Sharded(s) => s.run_until_quiescent(limit),
-        }
-    }
-
-    fn set_unicast_loss(&mut self, model: LossModel) {
-        match self {
-            SimEngine::Single(s) => s.set_unicast_loss(model),
-            SimEngine::Sharded(s) => s.set_unicast_loss(model),
-        }
-    }
-
-    fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>) {
-        match self {
-            SimEngine::Single(s) => s.set_fault_plan(plan),
-            SimEngine::Sharded(s) => s.set_fault_plan(plan),
-        }
-    }
-
-    fn reset(&mut self, nodes: Vec<RrmpNode>, seed: u64) {
-        match self {
-            SimEngine::Single(s) => s.reset(nodes, seed),
-            SimEngine::Sharded(s) => s.reset(nodes, seed),
-        }
-    }
-
-    fn is_optimized(&self) -> bool {
-        match self {
-            SimEngine::Single(s) => s.is_optimized(),
-            SimEngine::Sharded(_) => true,
-        }
-    }
-}
-
 /// Shard count taken from the `RRMP_SIM_SHARDS` environment variable
-/// (default 1 — the sequential windowed engine). Traces are identical at
-/// every value; the variable only chooses the degree of parallelism, so
-/// CI runs the whole suite under `RRMP_SIM_SHARDS=4` as a determinism
-/// check.
+/// (default 1 — the sequential driver). Traces are identical at every
+/// value; the variable only chooses the degree of parallelism, so CI runs
+/// the whole suite under `RRMP_SIM_SHARDS=4` as a determinism check.
+///
 /// # Panics
 ///
 /// Panics on a set-but-invalid value (unparsable or zero): a determinism
@@ -434,11 +276,10 @@ fn shards_from_env() -> usize {
 }
 
 /// Per-receiver memory budget (bytes) taken from the `RRMP_MEM_BUDGET`
-/// environment variable, or `None` when unset. Mirrors `RRMP_SIM_SHARDS`
-/// / `RRMP_POLICY`: only call sites that opt in
-/// ([`RrmpNetwork::new_env_policy`]) are affected, so a CI axis can run
-/// the whole suite under a tight budget without touching tests that
-/// assert unbudgeted behaviour.
+/// environment variable, or `None` when unset. Like `RRMP_POLICY`, only
+/// call sites that opt in ([`RrmpNetwork::new_env_policy`]) are
+/// affected, so a CI axis can run the whole suite under a tight budget
+/// without touching tests that assert unbudgeted behaviour.
 ///
 /// # Panics
 ///
@@ -458,35 +299,19 @@ fn mem_budget_from_env() -> Option<usize> {
     }
 }
 
-/// Returned by [`RrmpNetwork::try_sim_mut`] when the network is hosted on
-/// the sharded engine and therefore has no single-queue [`Sim`] to lend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineMismatch {
-    /// The shard count of the engine actually hosting the network.
-    pub shards: usize,
-}
-
-impl std::fmt::Display for EngineMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "network runs on the sharded engine ({} shards)", self.shards)
-    }
-}
-
-impl std::error::Error for EngineMismatch {}
-
 /// A complete simulated RRMP group: topology, one sender, one receiver per
 /// node, and experiment conveniences.
 #[derive(Debug)]
 pub struct RrmpNetwork {
-    sim: SimEngine,
+    sim: ShardedSim<RrmpNode>,
     sender_node: NodeId,
     multicast_loss: LossModel,
     /// Retained so [`RrmpNetwork::reset`] can rebuild the protocol state.
     cfg: ProtocolConfig,
     senders: Vec<NodeId>,
     /// Armed fault plan, if any — retained so [`RrmpNetwork::reset`] can
-    /// re-schedule the protocol-side crash and heal timers (the engines
-    /// keep the network-edge half through their own reset).
+    /// re-schedule the protocol-side crash and heal timers (the engine
+    /// keeps the network-edge half through its own reset).
     fault_plan: Option<Arc<FaultPlan>>,
     /// Armed observer configuration, if any — retained so
     /// [`RrmpNetwork::reset`] can re-arm the rebuilt receivers.
@@ -510,6 +335,17 @@ pub fn trace_path_from_env() -> Option<std::path::PathBuf> {
 impl RrmpNetwork {
     /// Builds a group over `topo` with node 0 as the sender, every member
     /// running `cfg`, and all randomness derived from `seed`.
+    ///
+    /// The group is hosted on the [`ShardedSim`] engine with the shard
+    /// count taken from the `RRMP_SIM_SHARDS` environment variable
+    /// (default 1, the sequential driver). Traces are byte-identical at
+    /// every shard count — the variable only picks the degree of
+    /// parallelism, so CI runs the whole suite at 1 and at 4 shards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` is invalid or `RRMP_SIM_SHARDS` is set but not a
+    /// positive integer.
     #[must_use]
     pub fn new(topo: Topology, cfg: ProtocolConfig, seed: u64) -> Self {
         Self::with_sender(topo, cfg, seed, NodeId(0))
@@ -535,6 +371,8 @@ impl RrmpNetwork {
     /// applications with only one sender", but nothing in loss detection
     /// or buffering is sender-specific: streams are tracked per source).
     /// `senders[0]` is the default target of [`RrmpNetwork::multicast`].
+    /// The shard count comes from `RRMP_SIM_SHARDS`, as for
+    /// [`RrmpNetwork::new`].
     ///
     /// # Panics
     ///
@@ -547,42 +385,12 @@ impl RrmpNetwork {
         seed: u64,
         senders: &[NodeId],
     ) -> Self {
-        Self::with_senders_mode(topo, cfg, seed, senders, true)
+        Self::build(topo, cfg, seed, senders, shards_from_env(), ShardPlacement::default())
     }
 
-    /// Like [`RrmpNetwork::new`], but hosted on the **reference** event
-    /// loop ([`Sim::new_reference`]): per-callback allocation and
-    /// per-destination clones instead of the zero-allocation fast paths.
-    /// Behavior is identical by construction — the trace-equality tests
-    /// assert it — and the perf delta is what `BENCH_sim_core.json`
-    /// reports.
-    #[must_use]
-    pub fn new_reference(topo: Topology, cfg: ProtocolConfig, seed: u64) -> Self {
-        Self::with_senders_mode(topo, cfg, seed, &[NodeId(0)], false)
-    }
-
-    /// Builds a group hosted on the **conservatively parallel** sharded
-    /// engine ([`ShardedSim`]), with the shard count taken from the
-    /// `RRMP_SIM_SHARDS` environment variable (default 1). Traces are
-    /// byte-identical at every shard count — the variable only picks the
-    /// degree of parallelism.
-    ///
-    /// Note the sharded engine's windowed semantics differ from
-    /// [`RrmpNetwork::new`]'s single event queue (per-sender unicast-loss
-    /// RNG streams, canonical cross-region merge order), so a sharded run
-    /// is compared against sharded runs, not against the single-queue
-    /// engines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid.
-    #[must_use]
-    pub fn new_sharded(topo: Topology, cfg: ProtocolConfig, seed: u64) -> Self {
-        Self::with_shards(topo, cfg, seed, shards_from_env())
-    }
-
-    /// Like [`RrmpNetwork::new_sharded`] with an explicit shard count
-    /// (clamped to the region count; a region never splits).
+    /// Like [`RrmpNetwork::new`] with an explicit shard count (clamped to
+    /// the region count; a region never splits) instead of
+    /// `RRMP_SIM_SHARDS`.
     ///
     /// # Panics
     ///
@@ -609,21 +417,35 @@ impl RrmpNetwork {
         shards: usize,
         placement: ShardPlacement,
     ) -> Self {
+        Self::build(topo, cfg, seed, &[NodeId(0)], shards, placement)
+    }
+
+    fn build(
+        topo: Topology,
+        cfg: ProtocolConfig,
+        seed: u64,
+        senders: &[NodeId],
+        shards: usize,
+        placement: ShardPlacement,
+    ) -> Self {
         cfg.validate().expect("invalid protocol config");
         assert!(shards >= 1, "need at least one shard");
-        let senders = [NodeId(0)];
+        assert!(!senders.is_empty(), "need at least one sender");
+        for s in senders {
+            assert!(s.index() < topo.node_count(), "sender {s} not in topology");
+        }
         // Stream nodes straight into their shards — never materialize the
         // full node set twice (a `Vec` plus the per-shard vectors), which
         // at a million members would briefly double peak memory.
         let sim = ShardedSim::with_placement_from(
             &topo,
-            Self::build_nodes_iter(&topo, &cfg, seed, &senders, true),
+            Self::build_nodes_iter(&topo, &cfg, seed, senders),
             seed,
             shards,
             placement,
         );
         RrmpNetwork {
-            sim: SimEngine::Sharded(sim),
+            sim,
             sender_node: senders[0],
             multicast_loss: LossModel::None,
             cfg,
@@ -634,9 +456,8 @@ impl RrmpNetwork {
     }
 
     /// Like [`RrmpNetwork::new`], but letting the `RRMP_POLICY`
-    /// environment variable override the configured buffer policy
-    /// (mirroring how `RRMP_SIM_SHARDS` selects the engine for
-    /// [`RrmpNetwork::new_sharded`]). Only call sites that opt in are
+    /// environment variable override the configured buffer policy. Only
+    /// call sites that opt in are
     /// affected, so the CI policy matrix exercises the non-default
     /// policies without touching tests that assert two-phase behaviour.
     ///
@@ -680,7 +501,7 @@ impl RrmpNetwork {
         net
     }
 
-    /// Arms `plan` on whichever engine hosts the group and schedules its
+    /// Arms `plan` on the engine and schedules its
     /// protocol-side consequences (crashes, heal notifications). The plan
     /// survives [`RrmpNetwork::reset`].
     ///
@@ -697,8 +518,8 @@ impl RrmpNetwork {
         self.schedule_fault_protocol_timers();
     }
 
-    /// Arms the fault plan from the `RRMP_FAULTS` environment variable
-    /// (mirroring `RRMP_SIM_SHARDS` / `RRMP_POLICY`), if set. Returns
+    /// Arms the fault plan from the `RRMP_FAULTS` environment variable, if
+    /// set. Returns
     /// whether a plan was armed, so harnesses can log or skip
     /// fault-sensitive assertions.
     ///
@@ -733,8 +554,8 @@ impl RrmpNetwork {
     /// per-node sampling timer records the time-series pillar. The
     /// observer survives [`RrmpNetwork::reset`].
     ///
-    /// Armed traces are byte-identical across engines and shard counts
-    /// (the `observer_invariance` suite pins it); an unarmed network pays
+    /// Armed traces are byte-identical across shard counts (the
+    /// `observer_invariance` suite pins it); an unarmed network pays
     /// one `Option` branch per hook site.
     ///
     /// # Panics
@@ -768,12 +589,7 @@ impl RrmpNetwork {
     /// (construction and after [`RrmpNetwork::reset`] rebuilds nodes).
     fn rearm_observer(&mut self) {
         let Some(tc) = self.trace_cfg else { return };
-        match &mut self.sim {
-            SimEngine::Single(s) => {
-                s.set_trace(Some(Box::new(rrmp_trace::TraceSink::new(tc.ring_capacity))));
-            }
-            SimEngine::Sharded(s) => s.set_trace(Some(tc.ring_capacity)),
-        }
+        self.sim.set_trace(Some(tc.ring_capacity));
         let nodes: Vec<NodeId> = self.sim.topology().nodes().collect();
         for n in nodes {
             self.sim.node_mut(n).receiver_mut().arm_trace(&tc);
@@ -786,10 +602,7 @@ impl RrmpNetwork {
     #[must_use]
     pub fn trace_events(&self) -> Vec<rrmp_trace::TraceEvent> {
         let mut out = Vec::new();
-        match &self.sim {
-            SimEngine::Single(s) => s.collect_trace(&mut out),
-            SimEngine::Sharded(s) => s.collect_trace(&mut out),
-        }
+        self.sim.collect_trace(&mut out);
         for (_, n) in self.sim.nodes() {
             if let Some(t) = n.receiver().trace() {
                 t.collect_into(&mut out);
@@ -811,11 +624,7 @@ impl RrmpNetwork {
     /// export above is complete).
     #[must_use]
     pub fn trace_events_dropped(&self) -> u64 {
-        let engine = match &self.sim {
-            SimEngine::Single(s) => s.trace().map_or(0, rrmp_trace::TraceSink::dropped),
-            SimEngine::Sharded(s) => s.trace_dropped(),
-        };
-        engine
+        self.sim.trace_dropped()
             + self
                 .sim
                 .nodes()
@@ -877,56 +686,10 @@ impl RrmpNetwork {
         }
     }
 
-    /// Number of shards the engine runs on (1 for the single-queue
-    /// engines).
+    /// Number of shards the engine runs on.
     #[must_use]
     pub fn shards(&self) -> usize {
-        match &self.sim {
-            SimEngine::Single(_) => 1,
-            SimEngine::Sharded(s) => s.shards(),
-        }
-    }
-
-    fn with_senders_mode(
-        topo: Topology,
-        cfg: ProtocolConfig,
-        seed: u64,
-        senders: &[NodeId],
-        optimized: bool,
-    ) -> Self {
-        cfg.validate().expect("invalid protocol config");
-        assert!(!senders.is_empty(), "need at least one sender");
-        for s in senders {
-            assert!(s.index() < topo.node_count(), "sender {s} not in topology");
-        }
-        let nodes = Self::build_nodes(&topo, &cfg, seed, senders, optimized);
-        let sim = if optimized {
-            SimEngine::Single(Sim::new(topo, nodes, seed))
-        } else {
-            SimEngine::Single(Sim::new_reference(topo, nodes, seed))
-        };
-        RrmpNetwork {
-            sim,
-            sender_node: senders[0],
-            multicast_loss: LossModel::None,
-            cfg,
-            senders: senders.to_vec(),
-            fault_plan: None,
-            trace_cfg: None,
-        }
-    }
-
-    /// Builds the per-node protocol state for one run.
-    fn build_nodes(
-        topo: &Topology,
-        cfg: &ProtocolConfig,
-        seed: u64,
-        senders: &[NodeId],
-        optimized: bool,
-    ) -> Vec<RrmpNode> {
-        let mut nodes = Vec::with_capacity(topo.node_count());
-        nodes.extend(Self::build_nodes_iter(topo, cfg, seed, senders, optimized));
-        nodes
+        self.sim.shards()
     }
 
     /// Per-node protocol state as an iterator in `NodeId` order — hosts
@@ -938,7 +701,6 @@ impl RrmpNetwork {
         cfg: &ProtocolConfig,
         seed: u64,
         senders: &[NodeId],
-        optimized: bool,
     ) -> impl Iterator<Item = RrmpNode> + 't {
         // Decorrelate receiver RNG streams from the simulator's own streams
         // (which are derived from the unmixed seed).
@@ -963,74 +725,49 @@ impl RrmpNetwork {
             );
             let sender =
                 senders.contains(&id).then(|| Sender::new(id, shared_cfg.session_interval));
-            let mut node = RrmpNode::new(receiver, sender);
-            node.reference_mode = !optimized;
-            node
+            RrmpNode::new(receiver, sender)
         })
     }
 
     /// Resets the network for a fresh experiment run over the same
     /// topology and configuration: protocol state is rebuilt from `seed`
     /// while the simulator keeps its event-queue and timer-slab
-    /// allocations warm ([`Sim::reset`]) — the fast path for multi-run
-    /// experiments and repeated benchmark iterations. The multicast loss
-    /// model and any armed fault plan are retained (the engines keep the
-    /// network-edge half; the crash and heal timers are re-scheduled
-    /// here).
+    /// allocations warm ([`ShardedSim::reset`]) — the fast path for
+    /// multi-run experiments and repeated benchmark iterations. The
+    /// multicast and unicast loss models, the drop filter, and any armed
+    /// fault plan are retained (the engine keeps the network-edge half;
+    /// the crash and heal timers are re-scheduled here).
     pub fn reset(&mut self, seed: u64) {
-        let optimized = self.sim.is_optimized();
         let nodes =
-            Self::build_nodes(self.sim.topology(), &self.cfg, seed, &self.senders, optimized);
+            Self::build_nodes_iter(self.sim.topology(), &self.cfg, seed, &self.senders).collect();
         self.sim.reset(nodes, seed);
         self.schedule_fault_protocol_timers();
         self.rearm_observer();
     }
 
-    /// Sets the loss model applied to unicast sends (requests, repairs),
-    /// on whichever engine hosts the group. The sharded engine draws from
-    /// per-sender-node streams, the single-queue engines from one global
-    /// stream — deterministic either way, but not comparable across
-    /// engine kinds.
+    /// Sets the loss model applied to unicast sends (requests, repairs).
+    /// Draws come from per-sender-node streams, so they are identical at
+    /// every shard count.
     pub fn set_unicast_loss(&mut self, model: LossModel) {
         self.sim.set_unicast_loss(model);
+    }
+
+    /// Installs a deterministic drop filter consulted for every unicast
+    /// copy, before the loss model (return `true` to drop) — the
+    /// fault-injection hook for tests and experiments. Shards consult it
+    /// concurrently, so it must be `Fn + Send + Sync`; state it needs
+    /// (e.g. a drop budget) lives in atomics.
+    pub fn set_drop_filter<F>(&mut self, f: F)
+    where
+        F: Fn(NodeId, NodeId, &Packet) -> bool + Send + Sync + 'static,
+    {
+        self.sim.set_drop_filter(f);
     }
 
     /// The simulated topology.
     #[must_use]
     pub fn topology(&self) -> &Topology {
         self.sim.topology()
-    }
-
-    /// The underlying single-queue simulator (full control for advanced
-    /// experiments), or [`EngineMismatch`] for a network hosted on the
-    /// sharded engine — probe with this instead of `catch_unwind` when a
-    /// test must work against either engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineMismatch`] for a network built with
-    /// [`RrmpNetwork::new_sharded`] / [`RrmpNetwork::with_shards`] — use
-    /// the engine-agnostic harness methods (e.g.
-    /// [`RrmpNetwork::set_unicast_loss`]) there.
-    pub fn try_sim_mut(&mut self) -> Result<&mut Sim<RrmpNode>, EngineMismatch> {
-        match &mut self.sim {
-            SimEngine::Single(s) => Ok(s),
-            SimEngine::Sharded(s) => Err(EngineMismatch { shards: s.shards() }),
-        }
-    }
-
-    /// The underlying single-queue simulator (full control for advanced
-    /// experiments).
-    ///
-    /// # Panics
-    ///
-    /// Panics for a network built with [`RrmpNetwork::new_sharded`] /
-    /// [`RrmpNetwork::with_shards`] — use [`RrmpNetwork::try_sim_mut`]
-    /// to probe without unwinding.
-    pub fn sim_mut(&mut self) -> &mut Sim<RrmpNode> {
-        self.try_sim_mut().unwrap_or_else(|e| {
-            panic!("sim_mut(): sharded networks have no single-queue Sim ({e})")
-        })
     }
 
     /// The sender's node id.
@@ -1226,7 +963,7 @@ impl RrmpNetwork {
 
     /// Network-level counters from the simulator.
     #[must_use]
-    pub fn net_counters(&self) -> rrmp_netsim::sim::NetCounters {
+    pub fn net_counters(&self) -> NetCounters {
         self.sim.counters()
     }
 

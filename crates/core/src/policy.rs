@@ -121,8 +121,8 @@ impl PolicyCtx<'_> {
 /// engine. See the module docs for the decision points each hook owns.
 ///
 /// Implementations must be deterministic given the [`PolicyCtx`] RNG:
-/// the simulator's trace-equality suites run every policy on the
-/// single-queue *and* sharded engines and require identical outcomes.
+/// the simulator's trace-equality suites run every policy at several
+/// shard counts and require identical outcomes.
 pub trait BufferPolicy: std::fmt::Debug + Send {
     /// Short name for reports and diagnostics.
     fn name(&self) -> &'static str;

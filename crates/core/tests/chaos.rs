@@ -13,7 +13,7 @@
 //!
 //! Plans are generated from fixed seeds via `StdRng`, so a failure
 //! reproduces exactly; the engine honours `RRMP_SIM_SHARDS`, so the CI
-//! chaos matrix re-runs the same plans on the sharded engine.
+//! chaos matrix re-runs the same plans at 1 and at 4 shards.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -115,9 +115,9 @@ const RUN_END: SimTime = SimTime::from_secs(6);
 fn run_chaos(policy: PolicyKind, seed: u64) -> (RrmpNetwork, Vec<MessageId>) {
     let topo = chaos_topology();
     let plan = random_plan(seed, &topo);
-    // `new_sharded` honours RRMP_SIM_SHARDS (default 1), so the CI chaos
+    // `new` honours RRMP_SIM_SHARDS (default 1), so the CI chaos
     // matrix re-runs these exact plans on the parallel engine.
-    let mut net = RrmpNetwork::new_sharded(topo, chaos_config(policy), seed);
+    let mut net = RrmpNetwork::new(topo, chaos_config(policy), seed);
     net.set_multicast_loss(LossModel::Bernoulli { p: 0.3 });
     net.arm_fault_plan(plan);
 
@@ -242,7 +242,7 @@ fn env_fault_plan_chaos_smoke() {
     const FALLBACK: &str =
         "seed=5;partition=0-1@100..500;stall=6@200..450;burst=0.5:2@150..400;dup=0.2+3@0..600";
     for policy in ALL_POLICIES {
-        let mut net = RrmpNetwork::new_sharded(chaos_topology(), chaos_config(policy), 13);
+        let mut net = RrmpNetwork::new(chaos_topology(), chaos_config(policy), 13);
         net.set_multicast_loss(LossModel::Bernoulli { p: 0.3 });
         if !net.arm_env_fault_plan() {
             net.arm_fault_plan(FaultPlan::parse(FALLBACK).expect("fallback plan parses"));
@@ -305,7 +305,7 @@ fn overload_plan(seed: u64) -> FaultPlan {
 /// loss burst that starves recovery, then a heal and a long drain.
 fn run_overload(policy: PolicyKind, seed: u64) -> (RrmpNetwork, Vec<MessageId>) {
     let topo = chaos_topology();
-    let mut net = RrmpNetwork::new_sharded(topo, overload_config(policy), seed);
+    let mut net = RrmpNetwork::new(topo, overload_config(policy), seed);
     net.set_multicast_loss(LossModel::Bernoulli { p: 0.4 });
     net.arm_fault_plan(overload_plan(seed));
     let mut ids = Vec::new();

@@ -9,11 +9,9 @@
 //!   sinks *without* samplers still reproduces it: recording is
 //!   side-effect-free on the protocol.
 //! * **Shard invariance** — an armed export (trace JSONL + histogram
-//!   JSON) is byte-identical at 1, 2, and 4 shards. Always via
+//!   JSON) is byte-identical at 1, 2, and 4 shards, via
 //!   [`RrmpNetwork::with_shards`]: the one-shard run is the sequential
-//!   oracle of the sharded engine. (The unsharded `RrmpNetwork::new`
-//!   engine legitimately interleaves same-timestamp timer-vs-packet
-//!   races differently and is *not* part of this contract.)
+//!   oracle.
 //! * **Merge associativity** — histogram merge is elementwise bucket
 //!   addition, so any grouping of per-shard partials yields the same
 //!   result as recording everything into one histogram; quantiles match

@@ -1,13 +1,14 @@
-//! Differential tests: the zero-allocation event loop (scratch op buffer,
-//! slab timers, fan-out ops, shared `Bytes` payloads) must produce
-//! **byte-identical delivery traces** to the straightforward reference
-//! implementation (fresh `Vec` per callback, one op and one clone per
-//! destination) for the same seed.
+//! Differential tests: the simulator must produce **byte-identical
+//! delivery traces** for the same seed at every shard count — the
+//! sequential `shards = 1` driver is the oracle, and the parallel driver
+//! at 2 and 4 shards must reproduce it exactly (same per-node deliveries,
+//! same counters, same RNG draws).
 //!
 //! These tests drive the full RRMP protocol — loss detection, local and
 //! remote recovery, regional repair multicasts with randomized back-off,
-//! bufferer search, leave-time handoff — so every fast path the refactor
-//! introduced is exercised end to end.
+//! bufferer search, leave-time handoff — so every engine path (batched
+//! fan-out, mailbox merges, per-sender loss streams, fault edge) is
+//! exercised end to end.
 
 use rrmp_core::harness::RrmpNetwork;
 use rrmp_core::ids::MessageId;
@@ -52,154 +53,10 @@ fn trace_of(net: &RrmpNetwork) -> RunTrace {
     }
 }
 
-/// Runs `scenario` on both event loops and asserts identical traces.
-fn assert_trace_equal<F>(
-    topo_of: impl Fn() -> Topology,
-    cfg: ProtocolConfig,
-    seed: u64,
-    scenario: F,
-) where
-    F: Fn(&mut RrmpNetwork),
-{
-    let mut optimized = RrmpNetwork::with_sender(topo_of(), cfg.clone(), seed, NodeId(0));
-    scenario(&mut optimized);
-    let mut reference = RrmpNetwork::new_reference(topo_of(), cfg, seed);
-    scenario(&mut reference);
-    assert_eq!(
-        trace_of(&optimized),
-        trace_of(&reference),
-        "optimized and reference event loops diverged (seed {seed})"
-    );
-}
-
-#[test]
-fn single_region_recovery_traces_match() {
-    for seed in [1u64, 7, 99, 1234] {
-        assert_trace_equal(
-            || presets::paper_region(40),
-            ProtocolConfig::paper_defaults(),
-            seed,
-            |net| {
-                let plan = DeliveryPlan::only(net.topology(), (0..10).map(NodeId));
-                net.multicast_with_plan(&b"trace-a"[..], &plan);
-                net.run_until(SimTime::from_millis(400));
-                let plan = DeliveryPlan::all_but(net.topology(), (20..30).map(NodeId));
-                net.multicast_with_plan(&b"trace-b"[..], &plan);
-                net.run_until(SimTime::from_secs(1));
-            },
-        );
-    }
-}
-
-#[test]
-fn hierarchical_recovery_with_regional_multicast_traces_match() {
-    for seed in [3u64, 42] {
-        assert_trace_equal(
-            || presets::figure1_chain([8, 8, 8], SimDuration::from_millis(25)),
-            ProtocolConfig::paper_defaults(),
-            seed,
-            |net| {
-                // Region 1 misses entirely: remote recovery + regional
-                // repair multicast (the send_many fast path) kick in.
-                let plan = DeliveryPlan::all_but(net.topology(), (8..16).map(NodeId));
-                net.multicast_with_plan(&b"regional"[..], &plan);
-                net.run_until(SimTime::from_secs(2));
-            },
-        );
-    }
-}
-
-#[test]
-fn lossy_multicast_stream_traces_match() {
-    for seed in [5u64, 17] {
-        assert_trace_equal(
-            || presets::paper_region(25),
-            ProtocolConfig::paper_defaults(),
-            seed,
-            |net| {
-                net.set_multicast_loss(LossModel::Bernoulli { p: 0.3 });
-                for _ in 0..6 {
-                    net.multicast(&b"stream"[..]);
-                    let next = net.now() + SimDuration::from_millis(25);
-                    net.run_until(next);
-                }
-                net.run_until(SimTime::from_secs(1));
-            },
-        );
-    }
-}
-
-#[test]
-fn churn_with_handoffs_traces_match() {
-    for seed in [2u64, 8] {
-        assert_trace_equal(
-            || presets::paper_region(20),
-            ProtocolConfig::builder().c(1000.0).build().expect("valid config"),
-            seed,
-            |net| {
-                let plan = DeliveryPlan::all(net.topology());
-                net.multicast_with_plan(&b"churn"[..], &plan);
-                net.run_until(SimTime::from_millis(200));
-                net.schedule_leave(NodeId(3), SimTime::from_millis(250));
-                net.schedule_crash(NodeId(9), SimTime::from_millis(300));
-                net.run_until(SimTime::from_millis(600));
-            },
-        );
-    }
-}
-
-#[test]
-fn lossy_unicast_fanout_traces_match() {
-    // Unicast (request/repair) loss forces the batched fan-out scheduler
-    // to consume the loss RNG per destination — in exactly the reference
-    // path's draw order — while retries exercise deep recovery paths.
-    for seed in [11u64, 23] {
-        assert_trace_equal(
-            || presets::figure1_chain([10, 10, 10], SimDuration::from_millis(25)),
-            ProtocolConfig::paper_defaults(),
-            seed,
-            |net| {
-                net.sim_mut().set_unicast_loss(LossModel::Bernoulli { p: 0.15 });
-                let plan = DeliveryPlan::all_but(net.topology(), (10..20).map(NodeId));
-                net.multicast_with_plan(&b"lossy-fanout"[..], &plan);
-                net.run_until(SimTime::from_secs(3));
-            },
-        );
-    }
-}
-
-#[test]
-fn region_correlated_stream_traces_match() {
-    // A multi-region stream under region-correlated initial loss: the
-    // injected multicasts group holders into per-latency batches (one
-    // batch per region distance) and regional repair multicasts expand
-    // lazily at delivery time.
-    for seed in [31u64, 59] {
-        assert_trace_equal(
-            || presets::figure1_chain([8, 8, 8], SimDuration::from_millis(25)),
-            ProtocolConfig::paper_defaults(),
-            seed,
-            |net| {
-                net.set_multicast_loss(LossModel::RegionCorrelated {
-                    p_region: 0.3,
-                    p_member: 0.1,
-                });
-                for _ in 0..4 {
-                    net.multicast(&b"regional-stream"[..]);
-                    let next = net.now() + SimDuration::from_millis(40);
-                    net.run_until(next);
-                }
-                net.run_until(SimTime::from_secs(3));
-            },
-        );
-    }
-}
-
-/// Runs `scenario` on the **sharded** engine at shard counts 1, 2, and 4
-/// and asserts byte-identical traces: `shards = 1` is the sequential
-/// oracle of the conservative-window engine, and every parallel layout
-/// must reproduce it exactly (same per-node deliveries, same counters,
-/// same RNG draws).
+/// Runs `scenario` at shard counts 1, 2, and 4 and asserts byte-identical
+/// traces: `shards = 1` is the sequential oracle of the conservative-window
+/// engine, and every parallel layout must reproduce it exactly (same
+/// per-node deliveries, same counters, same RNG draws).
 fn assert_sharded_trace_equal<F>(
     topo_of: impl Fn() -> Topology,
     cfg: ProtocolConfig,
@@ -220,6 +77,112 @@ fn assert_sharded_trace_equal<F>(
             trace_of(&net),
             "sharded run diverged from the sequential oracle (shards {}, seed {seed})",
             net.shards()
+        );
+    }
+}
+
+#[test]
+fn single_region_recovery_traces_match() {
+    for seed in [1u64, 7, 99, 1234] {
+        assert_sharded_trace_equal(
+            || presets::paper_region(40),
+            ProtocolConfig::paper_defaults(),
+            seed,
+            |net| {
+                let plan = DeliveryPlan::only(net.topology(), (0..10).map(NodeId));
+                net.multicast_with_plan(&b"trace-a"[..], &plan);
+                net.run_until(SimTime::from_millis(400));
+                let plan = DeliveryPlan::all_but(net.topology(), (20..30).map(NodeId));
+                net.multicast_with_plan(&b"trace-b"[..], &plan);
+                net.run_until(SimTime::from_secs(1));
+            },
+        );
+    }
+}
+
+#[test]
+fn lossy_multicast_stream_traces_match() {
+    for seed in [5u64, 17] {
+        assert_sharded_trace_equal(
+            || presets::paper_region(25),
+            ProtocolConfig::paper_defaults(),
+            seed,
+            |net| {
+                net.set_multicast_loss(LossModel::Bernoulli { p: 0.3 });
+                for _ in 0..6 {
+                    net.multicast(&b"stream"[..]);
+                    let next = net.now() + SimDuration::from_millis(25);
+                    net.run_until(next);
+                }
+                net.run_until(SimTime::from_secs(1));
+            },
+        );
+    }
+}
+
+#[test]
+fn churn_with_handoffs_traces_match() {
+    for seed in [2u64, 8] {
+        assert_sharded_trace_equal(
+            || presets::paper_region(20),
+            ProtocolConfig::builder().c(1000.0).build().expect("valid config"),
+            seed,
+            |net| {
+                let plan = DeliveryPlan::all(net.topology());
+                net.multicast_with_plan(&b"churn"[..], &plan);
+                net.run_until(SimTime::from_millis(200));
+                net.schedule_leave(NodeId(3), SimTime::from_millis(250));
+                net.schedule_crash(NodeId(9), SimTime::from_millis(300));
+                net.run_until(SimTime::from_millis(600));
+            },
+        );
+    }
+}
+
+#[test]
+fn lossy_unicast_fanout_traces_match() {
+    // Unicast (request/repair) loss forces the batched fan-out scheduler
+    // to draw the loss per destination from the sender's stream — the
+    // same draws at every shard count — while retries exercise deep
+    // recovery paths.
+    for seed in [11u64, 23] {
+        assert_sharded_trace_equal(
+            || presets::figure1_chain([10, 10, 10], SimDuration::from_millis(25)),
+            ProtocolConfig::paper_defaults(),
+            seed,
+            |net| {
+                net.set_unicast_loss(LossModel::Bernoulli { p: 0.15 });
+                let plan = DeliveryPlan::all_but(net.topology(), (10..20).map(NodeId));
+                net.multicast_with_plan(&b"lossy-fanout"[..], &plan);
+                net.run_until(SimTime::from_secs(3));
+            },
+        );
+    }
+}
+
+#[test]
+fn region_correlated_stream_traces_match() {
+    // A multi-region stream under region-correlated initial loss: the
+    // injected multicasts group holders into per-latency batches (one
+    // batch per region distance) and regional repair multicasts expand
+    // lazily at delivery time.
+    for seed in [31u64, 59] {
+        assert_sharded_trace_equal(
+            || presets::figure1_chain([8, 8, 8], SimDuration::from_millis(25)),
+            ProtocolConfig::paper_defaults(),
+            seed,
+            |net| {
+                net.set_multicast_loss(LossModel::RegionCorrelated {
+                    p_region: 0.3,
+                    p_member: 0.1,
+                });
+                for _ in 0..4 {
+                    net.multicast(&b"regional-stream"[..]);
+                    let next = net.now() + SimDuration::from_millis(40);
+                    net.run_until(next);
+                }
+                net.run_until(SimTime::from_secs(3));
+            },
         );
     }
 }
@@ -273,8 +236,8 @@ fn sharded_lossy_stream_traces_match() {
 #[test]
 fn env_selected_shard_count_matches_sequential_oracle() {
     // `RRMP_SIM_SHARDS` (the CI matrix knob) picks the layout for
-    // `new_sharded`; whatever its value, the trace must match the
-    // explicit shards=1 oracle byte for byte.
+    // `new`; whatever its value, the trace must match the explicit
+    // shards=1 oracle byte for byte.
     let topo_of = || presets::figure1_chain([8, 8, 8], SimDuration::from_millis(25));
     let scenario = |net: &mut RrmpNetwork| {
         net.set_unicast_loss(LossModel::Bernoulli { p: 0.1 });
@@ -284,7 +247,7 @@ fn env_selected_shard_count_matches_sequential_oracle() {
     };
     let mut oracle = RrmpNetwork::with_shards(topo_of(), ProtocolConfig::paper_defaults(), 5, 1);
     scenario(&mut oracle);
-    let mut env_net = RrmpNetwork::new_sharded(topo_of(), ProtocolConfig::paper_defaults(), 5);
+    let mut env_net = RrmpNetwork::new(topo_of(), ProtocolConfig::paper_defaults(), 5);
     scenario(&mut env_net);
     assert_eq!(
         trace_of(&oracle),
@@ -314,10 +277,10 @@ fn sharded_churn_with_handoffs_traces_match() {
 }
 
 #[test]
-fn ported_policy_traces_match_across_event_loops() {
-    // The baselines ported as policies run on the same engines as the
-    // default algorithm — and must stay byte-identical between the
-    // optimized and reference event loops, like every other policy.
+fn ported_policy_traces_match_across_shard_counts() {
+    // The baselines ported as policies run on the same engine as the
+    // default algorithm — and must stay byte-identical at every shard
+    // count, like every other policy.
     for kind in [
         PolicyKind::HashBufferers,
         PolicyKind::SenderBased,
@@ -326,7 +289,7 @@ fn ported_policy_traces_match_across_event_loops() {
         PolicyKind::TreeRmtp,
     ] {
         let cfg = ProtocolConfig::builder().policy(kind).build().expect("valid policy config");
-        assert_trace_equal(
+        assert_sharded_trace_equal(
             || presets::figure1_chain([8, 8, 8], SimDuration::from_millis(25)),
             cfg,
             19,
@@ -407,10 +370,11 @@ fn sharded_tree_rmtp_policy_traces_match() {
 }
 
 #[test]
-fn env_selected_policy_matches_reference_loop() {
+fn env_selected_policy_matches_sequential_oracle() {
     // `RRMP_POLICY` (the CI matrix knob) swaps the buffer policy for
-    // every opted-in construction; whatever its value, the optimized and
-    // reference event loops must agree and the group must fully recover.
+    // every opted-in construction; whatever its value, the env-built
+    // network must match an explicitly configured shards=1 oracle and the
+    // group must fully recover.
     let mut cfg = ProtocolConfig::paper_defaults();
     if let Some(kind) = PolicyKind::from_env() {
         cfg.policy = kind;
@@ -422,14 +386,14 @@ fn env_selected_policy_matches_reference_loop() {
         net.run_until(SimTime::from_secs(2));
         assert!(net.all_delivered(id), "policy must recover: {}", net.delivered_count(id));
     };
-    let mut optimized = RrmpNetwork::new_env_policy(topo_of(), ProtocolConfig::paper_defaults(), 9);
-    scenario(&mut optimized);
-    let mut reference = RrmpNetwork::new_reference(topo_of(), cfg, 9);
-    scenario(&mut reference);
+    let mut env_net = RrmpNetwork::new_env_policy(topo_of(), ProtocolConfig::paper_defaults(), 9);
+    scenario(&mut env_net);
+    let mut oracle = RrmpNetwork::with_shards(topo_of(), cfg, 9, 1);
+    scenario(&mut oracle);
     assert_eq!(
-        trace_of(&optimized),
-        trace_of(&reference),
-        "env-selected policy diverged between event loops"
+        trace_of(&env_net),
+        trace_of(&oracle),
+        "env-selected policy diverged from the oracle"
     );
 }
 
@@ -446,13 +410,13 @@ fn mixed_fault_plan() -> FaultPlan {
 }
 
 #[test]
-fn fault_plan_traces_match_across_event_loops() {
-    // The fault edge sits in front of the loss model in both event loops;
-    // drops, burst overrides, and duplicate copies must consume RNG and
-    // emit events in exactly the same order, and the heal notifications
-    // at 400/500/600 ms must re-arm recovery identically.
+fn fault_plan_stream_traces_match() {
+    // The fault edge sits in front of the loss model; drops, burst
+    // overrides, and duplicate copies must consume RNG and emit events in
+    // exactly the same order at every shard count, and the heal
+    // notifications at 400/500/600 ms must re-arm recovery identically.
     for seed in [13u64, 47] {
-        assert_trace_equal(
+        assert_sharded_trace_equal(
             || presets::figure1_chain([8, 8, 8], SimDuration::from_millis(25)),
             ProtocolConfig::paper_defaults(),
             seed,
@@ -532,7 +496,7 @@ fn env_fault_plan_matches_explicit_plan() {
 
 #[test]
 fn session_driven_tail_loss_traces_match() {
-    assert_trace_equal(
+    assert_sharded_trace_equal(
         || presets::paper_region(30),
         ProtocolConfig::paper_defaults(),
         77,

@@ -88,7 +88,7 @@ impl SimNode for GossipNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrmp_netsim::sim::Sim;
+    use rrmp_netsim::shard::ShardedSim;
     use rrmp_netsim::time::{SimDuration, SimTime};
     use rrmp_netsim::topology::presets::paper_region;
 
@@ -100,7 +100,7 @@ mod tests {
     fn healthy_cluster_no_failures_over_network() {
         let cfg = GossipConfig::default();
         let topo = paper_region(6);
-        let mut sim = Sim::new(topo, cluster(6, &cfg), 11);
+        let mut sim = ShardedSim::new(topo, cluster(6, &cfg), 11, 1);
         sim.run_until(SimTime::from_secs(10));
         for (_, node) in sim.nodes() {
             assert!(
@@ -120,7 +120,7 @@ mod tests {
             cleanup_after: SimDuration::from_secs(1),
         };
         let topo = paper_region(6);
-        let mut sim = Sim::new(topo, cluster(6, &cfg), 12);
+        let mut sim = ShardedSim::new(topo, cluster(6, &cfg), 12, 1);
         sim.run_until(SimTime::from_secs(2));
         sim.node_mut(NodeId(5)).crashed = true;
         sim.run_until(SimTime::from_secs(8));

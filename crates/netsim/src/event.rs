@@ -304,9 +304,9 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest event only if it fires at or before `limit`.
     ///
-    /// This is the horizon check `Sim::run_until` uses: a single peek of
-    /// the pending run — an event past the horizon is never removed and
-    /// re-inserted, and the wheel structure is not disturbed.
+    /// This is the horizon check `ShardedSim::run_until` uses: a single
+    /// peek of the pending run — an event past the horizon is never
+    /// removed and re-inserted, and the wheel structure is not disturbed.
     pub fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
         if self.peek_time()? > limit {
             return None;
@@ -341,7 +341,7 @@ impl<E> EventQueue<E> {
     /// Drops all pending events **without releasing allocations**: slot
     /// vectors, the pending run, the overflow heap, and the payload slab
     /// all keep their capacity, so a cleared queue re-fills without
-    /// re-growing from empty (important for `Sim` reuse across runs).
+    /// re-growing from empty (important for `ShardedSim` reuse across runs).
     pub fn clear(&mut self) {
         for bucket in &mut self.levels {
             bucket.clear();
@@ -470,9 +470,9 @@ impl<E> Default for EventQueue<E> {
 /// `(time, insertion sequence)`.
 ///
 /// Kept as the executable specification of the ordering contract: the
-/// differential proptests in this module and the trace-equality tests in
-/// `rrmp-core` assert that [`EventQueue`] (the timing wheel) pops the
-/// byte-identical sequence. `Sim::new_reference` runs on this queue.
+/// differential proptests in this module assert that [`EventQueue`] (the
+/// timing wheel) pops the byte-identical sequence. The `queue_ops` and `multicast_fanout`
+/// benchmark baselines run on this queue.
 #[derive(Debug)]
 pub struct ReferenceEventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,

@@ -3,9 +3,9 @@
 //! A [`FaultPlan`] is a static timeline of fault episodes — region↔region
 //! partitions, link blackouts, node crashes and stalls, loss-burst
 //! episodes that override the base [`LossModel`](crate::loss::LossModel),
-//! and bounded packet duplication — consulted by both engines
-//! ([`Sim`](crate::sim::Sim) and [`ShardedSim`](crate::shard::ShardedSim))
-//! for every unicast copy at transmit time.
+//! and bounded packet duplication — consulted by the engine
+//! ([`ShardedSim`](crate::shard::ShardedSim)) for every unicast copy at
+//! transmit time.
 //!
 //! ## Determinism
 //!

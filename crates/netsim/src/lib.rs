@@ -14,20 +14,22 @@
 //! * [`time`] — integer-microsecond simulated clock ([`time::SimTime`]).
 //! * [`rng`] — reproducible per-node RNG streams from one experiment seed.
 //! * [`event`] — the `(time, insertion-order)` event queue: a hierarchical
-//!   timing wheel, plus the retained heap-based reference implementation
-//!   the differential tests compare against.
+//!   timing wheel, plus the heap-based reference queue that is its
+//!   ordering oracle in the differential tests.
 //! * [`topology`] — nodes, regions, the error-recovery hierarchy, latency
 //!   models, and presets matching the paper's setups.
 //! * [`loss`] — multicast/unicast loss models and explicit
 //!   [`loss::DeliveryPlan`]s for controlled experiments.
 //! * [`fault`] — deterministic fault-injection timelines
 //!   ([`fault::FaultPlan`]): partitions, blackouts, crash/stall churn,
-//!   loss bursts, and duplication, applied at the network edge of both
-//!   engines with layout-invariant verdicts.
-//! * [`sim`] — the driver: host any [`sim::SimNode`] implementation.
-//! * [`shard`] — the conservatively parallel driver: regions partitioned
-//!   over shards advancing under a time-window barrier, traces
-//!   byte-identical at every shard count.
+//!   loss bursts, and duplication, applied at the network edge with
+//!   layout-invariant verdicts.
+//! * [`sim`] — the node API: implement [`sim::SimNode`], act through
+//!   [`sim::Ctx`].
+//! * [`shard`] — the engine: regions partitioned over shards advancing
+//!   under a conservative time-window barrier (inline with one shard, one
+//!   worker thread per shard otherwise), traces byte-identical at every
+//!   shard count.
 //! * [`trace`] / [`stats`] — event traces, counters, histograms, summaries,
 //!   and time series for building the paper's figures.
 //!
@@ -51,7 +53,7 @@
 //! }
 //!
 //! let topo = presets::paper_region(2);
-//! let mut sim = Sim::new(topo, vec![Acker { acked: 0 }, Acker { acked: 0 }], 7);
+//! let mut sim = ShardedSim::new(topo, vec![Acker { acked: 0 }, Acker { acked: 0 }], 7, 1);
 //! sim.inject(NodeId(1), NodeId(0), "ping", SimTime::ZERO);
 //! sim.run_until_quiescent(SimTime::from_secs(1));
 //! assert_eq!(sim.node(NodeId(0)).acked, 1);
@@ -78,7 +80,7 @@ pub mod prelude {
     pub use crate::loss::{DeliveryPlan, LossModel};
     pub use crate::rng::SeedSequence;
     pub use crate::shard::{ShardPlacement, ShardedSim};
-    pub use crate::sim::{Ctx, Sim, SimNode, TimerId};
+    pub use crate::sim::{Ctx, SimNode, TimerId};
     pub use crate::stats::{OnlineStats, Summary, TimeSeries};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{presets, NodeId, RegionId, Topology, TopologyBuilder};

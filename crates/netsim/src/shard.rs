@@ -41,8 +41,8 @@
 //!   same region (the wheel's `(time, seq)` order restricted to one
 //!   region's events is the region's own insertion order);
 //! * every RNG stream is per-node (including the unicast-loss stream,
-//!   which the single-`Sim` engine draws from one global generator), so
-//!   no draw depends on cross-region event interleaving;
+//!   drawn from the sending node's own generator), so no draw depends on
+//!   cross-region event interleaving;
 //! * cross-region messages are tagged with their source region and a
 //!   per-source-region emission counter and merged at barriers in that
 //!   canonical order, which does not depend on how regions are grouped
@@ -51,14 +51,12 @@
 //!   structure only, so the barrier at which a message merges is also
 //!   layout-independent.
 //!
-//! The price of the windowed semantics is that they are *not* the
-//! single-queue semantics of [`Sim`](crate::sim::Sim): two same-instant
-//! events in different regions may dispatch in a different relative order
-//! (which no per-node observable can see), and cross-region ties at one
-//! instant resolve in canonical merge order rather than global send
-//! order. `ShardedSim` is therefore its own engine with `shards = 1` as
-//! its sequential oracle; the trace-equality suite asserts byte-identical
-//! traces across shard counts 1/2/4.
+//! These windowed semantics are the simulator's only semantics: two
+//! same-instant events in different regions may dispatch in either
+//! relative order (no per-node observable can see it), and cross-region
+//! ties at one instant resolve in canonical merge order, not global send
+//! order. `shards = 1` is the sequential oracle; the trace-equality suite
+//! asserts byte-identical traces across shard counts 1/2/4.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -70,13 +68,12 @@ use crate::event::EventQueue;
 use crate::fault::FaultPlan;
 use crate::loss::{DeliveryPlan, LossModel};
 use crate::rng::SeedSequence;
-use crate::sim::{Ctx, NetCounters, Op, SimEvent, SimNode, TimerSlab};
+use crate::sim::{Ctx, NetCounters, Op, SimNode, TimerId, TimerSlab};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, RegionId, Topology};
 
 /// The per-node unicast-loss RNG stream id: disjoint from the per-node
-/// protocol streams (`0..n`) and from the single-`Sim` global loss stream
-/// (`u64::MAX / 2`).
+/// protocol streams (`0..n`).
 fn loss_stream(node: NodeId) -> u64 {
     (1u64 << 63) | u64::from(node.0)
 }
@@ -118,9 +115,8 @@ struct ShardState<N: SimNode> {
     node_ids: Vec<NodeId>,
     nodes: Vec<N>,
     rngs: Vec<StdRng>,
-    /// Per-node unicast-loss streams (the single-`Sim` engine uses one
-    /// global stream, which would make draws depend on cross-shard event
-    /// interleaving).
+    /// Per-node unicast-loss streams (one global stream would make draws
+    /// depend on cross-shard event interleaving).
     loss_rngs: Vec<StdRng>,
     /// Global node index → local index (`u32::MAX` when not owned).
     local_of: Vec<u32>,
@@ -176,7 +172,7 @@ impl<N: SimNode> ShardState<N> {
             }
             SimEvent::DeliverBatch { from, mut targets, msg } => {
                 self.now = at;
-                crate::sim::expand_batch(&targets, msg, |to, copy| {
+                expand_batch(&targets, msg, |to, copy| {
                     self.counters.delivered += 1;
                     self.counters.events_processed += 1;
                     self.counters.batched_deliveries += 1;
@@ -224,7 +220,6 @@ impl<N: SimNode> ShardState<N> {
                 ops: &mut ops,
                 targets: &mut targets,
                 timers: &mut self.timers,
-                fanout_ops: true,
             };
             f(&mut self.nodes[local], &mut ctx);
         }
@@ -250,9 +245,6 @@ impl<N: SimNode> ShardState<N> {
                 Op::SetTimer { id, token, at } => {
                     self.counters.timers_set += 1;
                     self.queue.schedule(at, SimEvent::Timer { node: from, token, id });
-                }
-                Op::Cancel { .. } => {
-                    unreachable!("sharded shards always run the generation-slab cancel path")
                 }
             }
         }
@@ -352,10 +344,9 @@ impl<N: SimNode> ShardState<N> {
         match env.fault.and_then(|p| p.drops(self.now, from, to, env.topo)) {
             Some(true) => {
                 self.counters.faults_dropped += 1;
-                // Matches the single-`Sim` engine: the verdict event here,
-                // the PacketDropped event at the drop branch of the caller
-                // (both counters increment on a fault drop, so both events
-                // record).
+                // The verdict event here, the PacketDropped event at the
+                // drop branch of the caller (both counters increment on a
+                // fault drop, so both events record).
                 if let Some(t) = self.trace.as_deref_mut() {
                     t.record(
                         self.now.as_micros(),
@@ -373,8 +364,8 @@ impl<N: SimNode> ShardState<N> {
 
     /// Fan-out with per-destination loss draws in destination order from
     /// the **sender's** loss stream; same-region survivors batch per
-    /// arrival time exactly like `Sim`, cross-region survivors go to the
-    /// mailboxes one event each.
+    /// arrival time ([`group_fanout_target`]), cross-region survivors go to
+    /// the mailboxes one event each.
     fn transmit_fanout<I>(
         &mut self,
         env: &ShardEnv<'_, N::Msg>,
@@ -418,14 +409,9 @@ impl<N: SimNode> ShardState<N> {
                 }
             }
             if env.topo.region_of(to) == src_region {
-                crate::sim::group_fanout_target(&mut self.target_pool, &mut groups, arrive, to);
+                group_fanout_target(&mut self.target_pool, &mut groups, arrive, to);
                 if let Some(extra) = dup {
-                    crate::sim::group_fanout_target(
-                        &mut self.target_pool,
-                        &mut groups,
-                        arrive + extra,
-                        to,
-                    );
+                    group_fanout_target(&mut self.target_pool, &mut groups, arrive + extra, to);
                 }
             } else {
                 self.route(env, src_region, arrive, from, to, msg.clone());
@@ -434,13 +420,105 @@ impl<N: SimNode> ShardState<N> {
                 }
             }
         }
-        // Flush the same-region arrival groups — the exact grouping and
-        // clone discipline `Sim` uses, via the shared helpers.
-        crate::sim::flush_fanout_groups(from, msg, &mut groups, &mut self.target_pool, |at, ev| {
+        // Flush the same-region arrival groups.
+        flush_fanout_groups(from, msg, &mut groups, &mut self.target_pool, |at, ev| {
             self.queue.schedule(at, ev);
         });
         self.scratch_groups = groups;
     }
+}
+
+/// Appends `to` to the arrival-time group for `arrive`, opening a new
+/// pooled group if this is the first destination with that latency.
+///
+/// The grouping discipline decides batch membership and batch order: a
+/// batch expands in target order, the order a loop of per-destination
+/// sends would have popped in.
+fn group_fanout_target(
+    target_pool: &mut Vec<Vec<NodeId>>,
+    groups: &mut Vec<(SimTime, Vec<NodeId>)>,
+    arrive: SimTime,
+    to: NodeId,
+) {
+    match groups.iter_mut().find(|(t, _)| *t == arrive) {
+        Some((_, batch)) => batch.push(to),
+        None => {
+            let mut batch = target_pool.pop().unwrap_or_default();
+            debug_assert!(batch.is_empty());
+            batch.push(to);
+            groups.push((arrive, batch));
+        }
+    }
+}
+
+/// Schedules one event per arrival-time group — a plain delivery for a
+/// single destination, a batch otherwise — in first-destination order,
+/// with the last group taking the original message and the rest shallow
+/// clones. Leaves `groups` empty with its capacity intact.
+fn flush_fanout_groups<M: Clone>(
+    from: NodeId,
+    msg: M,
+    groups: &mut Vec<(SimTime, Vec<NodeId>)>,
+    target_pool: &mut Vec<Vec<NodeId>>,
+    mut schedule: impl FnMut(SimTime, SimEvent<M>),
+) {
+    let n = groups.len();
+    let mut msg = Some(msg);
+    for (i, (arrive, mut batch)) in groups.drain(..).enumerate() {
+        let copy = if i + 1 == n {
+            msg.take().expect("consumed only once")
+        } else {
+            msg.as_ref().expect("taken only at the end").clone()
+        };
+        if batch.len() == 1 {
+            let to = batch[0];
+            batch.clear();
+            target_pool.push(batch);
+            schedule(arrive, SimEvent::Deliver { to, from, msg: copy });
+        } else {
+            schedule(arrive, SimEvent::DeliverBatch { from, targets: batch, msg: copy });
+        }
+    }
+}
+
+/// Hands each batch target a copy of `msg` in target order, the **last**
+/// taking the original (with an `Arc`-backed payload the batch never deep
+/// copies). This is the lazy expansion of a region-timed batch event.
+fn expand_batch<M: Clone>(targets: &[NodeId], msg: M, mut deliver: impl FnMut(NodeId, M)) {
+    let last = targets.len() - 1;
+    let mut msg = Some(msg);
+    for (i, &to) in targets.iter().enumerate() {
+        let copy = if i == last {
+            msg.take().expect("consumed only once")
+        } else {
+            msg.as_ref().expect("taken only at the end").clone()
+        };
+        deliver(to, copy);
+    }
+}
+
+/// One entry of a shard's event queue.
+enum SimEvent<M> {
+    Deliver {
+        to: NodeId,
+        from: NodeId,
+        msg: M,
+    },
+    /// One region-timed batch: every node in `targets` receives a copy of
+    /// `msg` at this event's instant, in target order. Scheduled by the
+    /// fan-out path (one queue entry per distinct arrival time instead of
+    /// one per destination) and expanded lazily at delivery; the target
+    /// vector is recycled through the shard's pool.
+    DeliverBatch {
+        from: NodeId,
+        targets: Vec<NodeId>,
+        msg: M,
+    },
+    Timer {
+        node: NodeId,
+        token: u64,
+        id: TimerId,
+    },
 }
 
 /// The inclusive end of a window opening at the global lower bound `lb`,
@@ -478,8 +556,8 @@ struct WindowReport<M> {
 
 /// The conservatively parallel, region-sharded discrete-event simulator.
 ///
-/// Hosts the same [`SimNode`] implementations as [`Sim`](crate::sim::Sim)
-/// with the same [`Ctx`] API. `shards = 1` is the sequential special
+/// The simulator engine: hosts any [`SimNode`] implementation, driving it
+/// through the [`Ctx`] API. `shards = 1` is the sequential special
 /// case: no worker threads are spawned and the (single) mailbox is
 /// drained inline — it defines the canonical trace that every parallel
 /// run reproduces byte for byte. See the [module docs](self) for the
@@ -785,9 +863,9 @@ where
         self.lookahead
     }
 
-    /// Sets the loss model applied to every unicast send. Unlike the
-    /// single-queue engine, draws come from **per-sender-node** streams
-    /// (a global stream would make draws depend on the shard layout).
+    /// Sets the loss model applied to every unicast send. Draws come from
+    /// **per-sender-node** streams (a global stream would make draws
+    /// depend on the shard layout).
     pub fn set_unicast_loss(&mut self, model: LossModel) {
         self.unicast_loss = model;
     }
@@ -1053,7 +1131,7 @@ where
         }
         // Monotone global clock: `processed` only reflects events at or
         // before past limits, and a run with an earlier horizon than a
-        // previous one must not rewind `now` (matching `Sim`).
+        // previous one must not rewind `now`.
         let processed = self.states.iter().map(|s| s.now).max().unwrap_or(SimTime::ZERO);
         self.now = self.now.max(processed);
     }
@@ -1230,7 +1308,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Sim;
+    use crate::topology::presets::paper_region;
     use crate::topology::{presets, TopologyBuilder};
     use rand::Rng;
 
@@ -1239,10 +1317,14 @@ mod tests {
     struct Probe {
         packets: Vec<(SimTime, NodeId, u32)>,
         timers: Vec<(SimTime, u64)>,
+        started: bool,
     }
 
     impl SimNode for Probe {
         type Msg = u32;
+        fn on_start(&mut self, _ctx: &mut Ctx<'_, u32>) {
+            self.started = true;
+        }
         fn on_packet(&mut self, ctx: &mut Ctx<'_, u32>, from: NodeId, msg: u32) {
             self.packets.push((ctx.now(), from, msg));
         }
@@ -1441,25 +1523,15 @@ mod tests {
     }
 
     #[test]
-    fn single_region_matches_plain_sim() {
-        // No cross-region traffic and no loss draws: the sharded engine
-        // and the single-queue engine see identical schedules.
-        let run_sharded = || {
-            let mut sim = ShardedSim::new(presets::paper_region(6), probes(6), 3, 4);
-            assert_eq!(sim.shards(), 1, "single region clamps to one shard");
-            sim.inject(NodeId(2), NodeId(0), 4, SimTime::from_millis(1));
-            sim.schedule_external_timer(NodeId(5), 77, SimTime::from_millis(2));
-            sim.run_until_quiescent(SimTime::from_secs(1));
-            (sim.node(NodeId(2)).packets.clone(), sim.node(NodeId(5)).timers.clone())
-        };
-        let run_plain = || {
-            let mut sim = Sim::new(presets::paper_region(6), probes(6), 3);
-            sim.inject(NodeId(2), NodeId(0), 4, SimTime::from_millis(1));
-            sim.schedule_external_timer(NodeId(5), 77, SimTime::from_millis(2));
-            sim.run_until_quiescent(SimTime::from_secs(1));
-            (sim.node(NodeId(2)).packets.clone(), sim.node(NodeId(5)).timers.clone())
-        };
-        assert_eq!(run_sharded(), run_plain());
+    fn single_region_clamps_to_one_shard() {
+        let mut sim = ShardedSim::new(presets::paper_region(6), probes(6), 3, 4);
+        assert_eq!(sim.shards(), 1, "single region clamps to one shard");
+        assert_eq!(sim.lookahead(), None, "one region needs no window barrier");
+        sim.inject(NodeId(2), NodeId(0), 4, SimTime::from_millis(1));
+        sim.schedule_external_timer(NodeId(5), 77, SimTime::from_millis(2));
+        sim.run_until_quiescent(SimTime::from_secs(1));
+        assert_eq!(sim.node(NodeId(2)).packets, vec![(SimTime::from_millis(1), NodeId(0), 4)]);
+        assert_eq!(sim.node(NodeId(5)).timers, vec![(SimTime::from_millis(2), 77)]);
     }
 
     #[test]
@@ -1480,8 +1552,7 @@ mod tests {
             let mut sim = ShardedSim::new(two_region_topo(), probes(4), 8, shards);
             sim.run_until(SimTime::from_millis(10));
             assert_eq!(sim.now(), SimTime::from_millis(10));
-            // A run with an earlier horizon must not rewind the clock
-            // (matching `Sim::run_until`).
+            // A run with an earlier horizon must not rewind the clock.
             sim.run_until(SimTime::from_millis(5));
             assert_eq!(sim.now(), SimTime::from_millis(10), "shards={shards}");
             let end = sim.run_until_quiescent(SimTime::from_millis(3));
@@ -1611,6 +1682,358 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn unicast_latency_applied() {
+        let mut sim = ShardedSim::new(paper_region(3), probes(3), 1, 1);
+        sim.inject(NodeId(1), NodeId(0), 7, SimTime::ZERO);
+        sim.run_until_quiescent(SimTime::from_secs(1));
+        assert_eq!(sim.node(NodeId(1)).packets, vec![(SimTime::ZERO, NodeId(0), 7)]);
+        assert!(sim.node(NodeId(0)).started);
+    }
+
+    /// Responder sends an ack back on first packet.
+    struct Echo;
+    impl SimNode for Echo {
+        type Msg = u32;
+        fn on_packet(&mut self, ctx: &mut Ctx<'_, u32>, from: NodeId, msg: u32) {
+            if msg == 0 {
+                ctx.send(from, 1);
+            }
+        }
+        fn on_timer(&mut self, _: &mut Ctx<'_, u32>, _: u64) {}
+    }
+
+    #[test]
+    fn round_trip_takes_rtt() {
+        let mut sim = ShardedSim::new(paper_region(2), vec![Echo, Echo], 2, 1);
+        sim.inject(NodeId(1), NodeId(0), 0, SimTime::ZERO);
+        let end = sim.run_until_quiescent(SimTime::from_secs(1));
+        // Echo reply travels one intra-region hop: 5ms.
+        assert_eq!(end, SimTime::from_millis(5));
+    }
+
+    #[test]
+    fn timers_fire_and_cancel() {
+        struct TimerNode {
+            fired: Vec<u64>,
+            cancel_me: Option<TimerId>,
+        }
+        impl SimNode for TimerNode {
+            type Msg = ();
+            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+                ctx.set_timer(SimDuration::from_millis(1), 1);
+                self.cancel_me = Some(ctx.set_timer(SimDuration::from_millis(2), 2));
+                ctx.set_timer(SimDuration::from_millis(3), 3);
+            }
+            fn on_packet(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: ()) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, token: u64) {
+                if token == 1 {
+                    let id = self.cancel_me.take().expect("set in on_start");
+                    ctx.cancel_timer(id);
+                }
+                self.fired.push(token);
+            }
+        }
+        let nodes = vec![TimerNode { fired: vec![], cancel_me: None }];
+        let mut sim = ShardedSim::new(paper_region(1), nodes, 3, 1);
+        sim.run_until_quiescent(SimTime::from_secs(1));
+        assert_eq!(sim.node(NodeId(0)).fired, vec![1, 3]);
+        assert_eq!(sim.counters().timers_set, 3);
+        assert_eq!(sim.counters().timers_fired, 2);
+    }
+
+    #[test]
+    fn drop_filter_discards() {
+        struct Sender;
+        impl SimNode for Sender {
+            type Msg = u32;
+            fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+                if ctx.self_id() == NodeId(0) {
+                    ctx.send(NodeId(1), 1);
+                    ctx.send(NodeId(1), 2);
+                }
+            }
+            fn on_packet(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: u32) {}
+            fn on_timer(&mut self, _: &mut Ctx<'_, u32>, _: u64) {}
+        }
+        let mut sim = ShardedSim::new(paper_region(2), vec![Sender, Sender], 4, 1);
+        sim.set_drop_filter(|_, _, &msg| msg == 1);
+        sim.run_until_quiescent(SimTime::from_secs(1));
+        assert_eq!(sim.counters().unicasts_sent, 2);
+        assert_eq!(sim.counters().unicasts_dropped, 1);
+        assert_eq!(sim.counters().delivered, 1);
+    }
+
+    #[test]
+    fn unicast_loss_model_applies() {
+        struct Spammer;
+        impl SimNode for Spammer {
+            type Msg = u32;
+            fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+                if ctx.self_id() == NodeId(0) {
+                    for i in 0..1000 {
+                        ctx.send(NodeId(1), i);
+                    }
+                }
+            }
+            fn on_packet(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: u32) {}
+            fn on_timer(&mut self, _: &mut Ctx<'_, u32>, _: u64) {}
+        }
+        let mut sim = ShardedSim::new(paper_region(2), vec![Spammer, Spammer], 5, 1);
+        sim.set_unicast_loss(LossModel::Bernoulli { p: 0.5 });
+        sim.run_until_quiescent(SimTime::from_secs(1));
+        let dropped = sim.counters().unicasts_dropped;
+        assert!((300..700).contains(&dropped), "dropped {dropped} of 1000");
+    }
+
+    #[test]
+    fn multicast_plan_delivery() {
+        for shards in [1usize, 2] {
+            let mut sim = ShardedSim::new(two_region_topo(), probes(4), 6, shards);
+            let plan = DeliveryPlan::all_but(sim.topology(), [NodeId(2)]);
+            sim.inject_multicast_plan(NodeId(0), &9, &plan, SimTime::ZERO);
+            sim.run_until_quiescent(SimTime::from_secs(1));
+            // Node 1 (same region): 5ms. Node 3 (other region): 20ms. Node 2 missed.
+            assert_eq!(sim.node(NodeId(1)).packets, vec![(SimTime::from_millis(5), NodeId(0), 9)]);
+            assert!(sim.node(NodeId(2)).packets.is_empty());
+            assert_eq!(sim.node(NodeId(3)).packets, vec![(SimTime::from_millis(20), NodeId(0), 9)]);
+        }
+    }
+
+    #[test]
+    fn inject_simultaneous_arrives_at_once() {
+        let mut sim = ShardedSim::new(paper_region(4), probes(4), 7, 1);
+        let plan = DeliveryPlan::only(sim.topology(), [NodeId(1), NodeId(3)]);
+        sim.inject_simultaneous(NodeId(0), &5, &plan, SimTime::from_millis(2));
+        sim.run_until_quiescent(SimTime::from_secs(1));
+        assert_eq!(sim.node(NodeId(1)).packets, vec![(SimTime::from_millis(2), NodeId(0), 5)]);
+        assert_eq!(sim.node(NodeId(3)).packets, vec![(SimTime::from_millis(2), NodeId(0), 5)]);
+        assert!(sim.node(NodeId(2)).packets.is_empty());
+    }
+
+    #[test]
+    fn external_timer_reaches_node() {
+        let mut sim = ShardedSim::new(paper_region(1), probes(1), 9, 1);
+        sim.schedule_external_timer(NodeId(0), 42, SimTime::from_millis(3));
+        sim.run_until_quiescent(SimTime::from_secs(1));
+        assert_eq!(sim.node(NodeId(0)).timers, vec![(SimTime::from_millis(3), 42)]);
+    }
+
+    #[test]
+    fn deterministic_across_runs() {
+        let run = || {
+            let nodes = (0..10).map(|_| Gossiper { log: Vec::new() }).collect();
+            let mut sim = ShardedSim::new(paper_region(10), nodes, 1234, 1);
+            sim.inject(NodeId(0), NodeId(9), 50, SimTime::ZERO);
+            sim.run_until_quiescent(SimTime::from_secs(10));
+            let logs: Trace = (0..10).map(|i| sim.node(NodeId(i)).log.clone()).collect();
+            (sim.now(), logs, sim.counters())
+        };
+        assert_eq!(run(), run());
+    }
+
+    #[test]
+    #[should_panic(expected = "one node implementation per topology node")]
+    fn node_count_mismatch_panics() {
+        let _ = ShardedSim::new(paper_region(3), probes(2), 0, 1);
+    }
+
+    /// A node that fans out to the whole region on start.
+    struct RegionCaster;
+    impl SimNode for RegionCaster {
+        type Msg = u32;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            if ctx.self_id() == NodeId(0) {
+                let n = ctx.topology().node_count() as u32;
+                ctx.send_many((0..n).map(NodeId), 9);
+            }
+        }
+        fn on_packet(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: u32) {}
+        fn on_timer(&mut self, _: &mut Ctx<'_, u32>, _: u64) {}
+    }
+
+    #[test]
+    fn send_many_reaches_everyone_but_self() {
+        let nodes = (0..6).map(|_| RegionCaster).collect();
+        let mut sim = ShardedSim::new(paper_region(6), nodes, 10, 1);
+        sim.run_until_quiescent(SimTime::from_secs(1));
+        assert_eq!(sim.counters().unicasts_sent, 5);
+        assert_eq!(sim.counters().delivered, 5);
+        assert_eq!(sim.counters().fanouts, 1);
+        // A single-region fan-out is one batch event covering all five
+        // destinations.
+        assert_eq!(sim.counters().batched_deliveries, 5);
+        assert_eq!(sim.pending_events(), 0);
+    }
+
+    #[test]
+    fn far_future_timer_crosses_wheel_horizon() {
+        // ~27.8 simulated hours: past the 64^6-microsecond wheel range, so
+        // the event takes the overflow path.
+        let far = SimTime::from_secs(100_000);
+        let mut sim = ShardedSim::new(paper_region(1), probes(1), 11, 1);
+        sim.schedule_external_timer(NodeId(0), 9, far);
+        sim.schedule_external_timer(NodeId(0), 1, SimTime::from_millis(1));
+        sim.run_until_quiescent(SimTime::MAX);
+        assert_eq!(sim.node(NodeId(0)).timers, vec![(SimTime::from_millis(1), 1), (far, 9)]);
+    }
+
+    #[test]
+    fn reset_reuses_queue_capacity() {
+        fn run(sim: &mut ShardedSim<RegionCaster>) -> NetCounters {
+            sim.run_until_quiescent(SimTime::from_secs(1));
+            sim.counters()
+        }
+        let mut sim =
+            ShardedSim::new(paper_region(40), (0..40).map(|_| RegionCaster).collect(), 12, 1);
+        let first = run(&mut sim);
+        let warmed = sim.states[0].queue.allocated_capacity();
+        sim.reset((0..40).map(|_| RegionCaster).collect(), 12);
+        assert_eq!(sim.now(), SimTime::ZERO);
+        assert_eq!(sim.counters(), NetCounters::default());
+        let second = run(&mut sim);
+        assert_eq!(first, second, "identical seed must replay identically");
+        let after = sim.states[0].queue.allocated_capacity();
+        assert_eq!(after, warmed, "reset must keep the queue's allocations warm");
+    }
+
+    #[test]
+    fn send_group_matches_send_many_over_topology() {
+        struct Caster;
+        impl SimNode for Caster {
+            type Msg = u32;
+            fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+                if ctx.self_id() == NodeId(2) {
+                    ctx.send_group(1);
+                }
+            }
+            fn on_packet(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: u32) {}
+            fn on_timer(&mut self, _: &mut Ctx<'_, u32>, _: u64) {}
+        }
+        let mut sim = ShardedSim::new(paper_region(5), (0..5).map(|_| Caster).collect(), 11, 1);
+        sim.run_until_quiescent(SimTime::from_secs(1));
+        assert_eq!(sim.counters().unicasts_sent, 4);
+        assert_eq!(sim.counters().delivered, 4);
+    }
+
+    #[test]
+    fn run_until_never_dispatches_past_horizon() {
+        // A cancelled timer inside the horizon must not let run_until
+        // dispatch the next (later) event early.
+        struct DecoyNode {
+            fired: Vec<SimTime>,
+        }
+        impl SimNode for DecoyNode {
+            type Msg = ();
+            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+                let decoy = ctx.set_timer(SimDuration::from_millis(5), 1);
+                ctx.cancel_timer(decoy);
+                ctx.set_timer(SimDuration::from_millis(50), 2);
+            }
+            fn on_packet(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: ()) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _: u64) {
+                self.fired.push(ctx.now());
+            }
+        }
+        let nodes = vec![DecoyNode { fired: vec![] }];
+        let mut sim = ShardedSim::new(paper_region(1), nodes, 1, 1);
+        // Horizon between the cancelled decoy (5ms) and the real timer
+        // (50ms): nothing may fire, clock lands exactly on 10ms.
+        sim.run_until(SimTime::from_millis(10));
+        assert!(sim.node(NodeId(0)).fired.is_empty(), "fired early");
+        assert_eq!(sim.now(), SimTime::from_millis(10));
+        sim.run_until(SimTime::from_millis(60));
+        assert_eq!(sim.node(NodeId(0)).fired, vec![SimTime::from_millis(50)]);
+    }
+
+    /// How a [`FanoutNode`] emits a fan-out: one batched op, or the
+    /// equivalent loop of unicasts.
+    #[derive(Debug, Clone, Copy)]
+    enum Emit {
+        Batched,
+        Looped,
+    }
+
+    /// On each of its timer fires, sends one payload to a random multiset
+    /// of members (`send_many`) or to the whole group (`send_group`), and
+    /// logs every packet it receives.
+    struct FanoutNode {
+        emit: Emit,
+        group: bool,
+        fires: u32,
+        log: Vec<(SimTime, NodeId, u32)>,
+    }
+
+    impl SimNode for FanoutNode {
+        type Msg = u32;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            let delay = ctx.rng().gen_range(1u64..2_000);
+            ctx.set_timer(SimDuration::from_micros(delay), 0);
+        }
+        fn on_packet(&mut self, ctx: &mut Ctx<'_, u32>, from: NodeId, msg: u32) {
+            self.log.push((ctx.now(), from, msg));
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, u32>, _: u64) {
+            let me = ctx.self_id();
+            let n = ctx.topology().node_count() as u32;
+            let payload = me.0 * 1_000 + self.fires;
+            self.fires += 1;
+            let targets: Vec<NodeId> = if self.group {
+                (0..n).map(NodeId).collect()
+            } else {
+                let k = ctx.rng().gen_range(1..n);
+                (0..k).map(|_| NodeId(ctx.rng().gen_range(0..n))).collect()
+            };
+            match self.emit {
+                Emit::Batched if self.group => ctx.send_group(payload),
+                Emit::Batched => ctx.send_many(targets, payload),
+                Emit::Looped => {
+                    for to in targets.into_iter().filter(|&to| to != me) {
+                        ctx.send(to, payload);
+                    }
+                }
+            }
+            if self.fires < 20 {
+                let delay = ctx.rng().gen_range(1u64..5_000);
+                ctx.set_timer(SimDuration::from_micros(delay), 0);
+            }
+        }
+    }
+
+    fn fanout_run(emit: Emit, group: bool, shards: usize) -> (Trace, NetCounters) {
+        let topo = presets::region_tree(6, 2, 2, SimDuration::from_millis(25));
+        let n = topo.node_count();
+        let nodes = (0..n).map(|_| FanoutNode { emit, group, fires: 0, log: Vec::new() }).collect();
+        let mut sim = ShardedSim::new(topo, nodes, 31, shards);
+        sim.set_unicast_loss(LossModel::Bernoulli { p: 0.2 });
+        sim.set_drop_filter(|from, to, &msg| (from.0 + 3 * to.0 + msg) % 11 == 0);
+        sim.run_until_quiescent(SimTime::from_secs(10));
+        let logs = (0..n as u32).map(|i| sim.node(NodeId(i)).log.clone()).collect();
+        (logs, sim.counters())
+    }
+
+    #[test]
+    fn batched_fanout_matches_a_loop_of_sends() {
+        // The oracle for the batched fan-out path: `send_many` and
+        // `send_group` must be observably identical to sending the same
+        // destinations one `send` at a time — per-node logs, and the loss
+        // and filter verdicts drawn per destination in destination order.
+        for group in [false, true] {
+            let (oracle, looped) = fanout_run(Emit::Looped, group, 1);
+            assert_eq!(looped.fanouts, 0);
+            assert!(looped.unicasts_dropped > 0 && looped.delivered > 0, "{looped:?}");
+            for shards in [1usize, 2, 4] {
+                let (logs, batched) = fanout_run(Emit::Batched, group, shards);
+                let ctx = format!("group={group} shards={shards}");
+                assert_eq!(logs, oracle, "{ctx}");
+                assert_eq!(batched.unicasts_sent, looped.unicasts_sent, "{ctx}");
+                assert_eq!(batched.unicasts_dropped, looped.unicasts_dropped, "{ctx}");
+                assert!(batched.fanouts > 0 && batched.batched_deliveries > 0, "{ctx}");
+                assert_eq!(fanout_run(Emit::Looped, group, shards), (oracle.clone(), looped));
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1722,6 +2145,123 @@ mod proptests {
             prop_assert_eq!(&sequential, &two, "2 shards diverged");
             let four = run_scripts(&scripts, 4, lossy);
             prop_assert_eq!(&sequential, &four, "4 shards diverged");
+        }
+    }
+
+    /// One scripted reaction to a timer firing: cancel some still-pending
+    /// timers (picked by index into the live list), then arm new ones with
+    /// the given delays (microseconds; zero means "this same instant").
+    #[derive(Debug, Clone)]
+    struct TimerStep {
+        cancels: Vec<usize>,
+        delays: Vec<u64>,
+    }
+
+    /// A node that replays a [`TimerStep`] script, one step per timer
+    /// firing, recording the observable `(time, token)` trace.
+    struct TimerScriptNode {
+        script: Vec<TimerStep>,
+        step: usize,
+        live: Vec<(u64, TimerId)>,
+        next_token: u64,
+        fired: Vec<(SimTime, u64)>,
+    }
+
+    impl TimerScriptNode {
+        fn arm(&mut self, ctx: &mut Ctx<'_, ()>, delay_us: u64) {
+            let token = self.next_token;
+            self.next_token += 1;
+            let id = ctx.set_timer(SimDuration::from_micros(delay_us), token);
+            self.live.push((token, id));
+        }
+    }
+
+    impl SimNode for TimerScriptNode {
+        type Msg = ();
+        fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+            self.arm(ctx, 1);
+        }
+        fn on_packet(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: ()) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, token: u64) {
+            self.fired.push((ctx.now(), token));
+            self.live.retain(|&(t, _)| t != token);
+            let Some(step) = self.script.get(self.step).cloned() else { return };
+            self.step += 1;
+            for k in step.cancels {
+                if self.live.is_empty() {
+                    break;
+                }
+                let (_, id) = self.live.remove(k % self.live.len());
+                ctx.cancel_timer(id);
+            }
+            for d in step.delays {
+                self.arm(ctx, d);
+            }
+        }
+    }
+
+    /// The same script replayed against a plain ordered map keyed by
+    /// `(time, arm order)` — the timer semantics written out directly.
+    fn timer_script_model(script: &[TimerStep]) -> Vec<(SimTime, u64)> {
+        use std::collections::BTreeMap;
+        let mut pending: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+        let mut live: Vec<(u64, (u64, u64))> = Vec::new();
+        let mut arms = 0u64;
+        let mut arm = |pending: &mut BTreeMap<_, _>, live: &mut Vec<_>, at: u64| {
+            let key = (at, arms);
+            pending.insert(key, arms);
+            live.push((arms, key));
+            arms += 1;
+        };
+        arm(&mut pending, &mut live, 1);
+        let mut fired = Vec::new();
+        let mut steps = script.iter();
+        while let Some(((at, _), token)) = pending.pop_first() {
+            fired.push((SimTime::from_micros(at), token));
+            live.retain(|&(t, _)| t != token);
+            let Some(step) = steps.next() else { continue };
+            for &k in &step.cancels {
+                if live.is_empty() {
+                    break;
+                }
+                let (_, key) = live.remove(k % live.len());
+                pending.remove(&key);
+            }
+            for &d in &step.delays {
+                arm(&mut pending, &mut live, at + d);
+            }
+        }
+        fired
+    }
+
+    fn arb_timer_step() -> impl Strategy<Value = TimerStep> {
+        (proptest::collection::vec(0usize..8, 0..3), proptest::collection::vec(0u64..5_000, 0..4))
+            .prop_map(|(cancels, delays)| TimerStep { cancels, delays })
+    }
+
+    proptest! {
+        /// Random interleaved timer schedule/cancel/fire scripts observe
+        /// the model's `(time, token)` trace, and the counters agree with
+        /// it: every arm is a set, every trace entry a fire.
+        #[test]
+        fn timer_scripts_match_model(
+            script in proptest::collection::vec(arb_timer_step(), 0..30),
+        ) {
+            let expected = timer_script_model(&script);
+            let node = TimerScriptNode {
+                script,
+                step: 0,
+                live: Vec::new(),
+                next_token: 0,
+                fired: Vec::new(),
+            };
+            let topo = crate::topology::presets::paper_region(1);
+            let mut sim = ShardedSim::new(topo, vec![node], 77, 1);
+            sim.run_until_quiescent(SimTime::MAX);
+            let c = sim.counters();
+            prop_assert_eq!(&sim.node(NodeId(0)).fired, &expected);
+            prop_assert_eq!(c.timers_fired, expected.len() as u64);
+            prop_assert_eq!(c.timers_set, sim.node(NodeId(0)).next_token);
         }
     }
 

@@ -1,57 +1,60 @@
-//! The discrete-event simulator driver.
+//! The node-facing half of the simulator: what a simulated node is and
+//! how it acts on the world.
 //!
-//! A [`Sim`] owns a set of user-defined nodes (anything implementing
-//! [`SimNode`]), a [`Topology`], and an event queue. Nodes interact with the
-//! world exclusively through a [`Ctx`] handed to their callbacks: sending
-//! packets (delivered after the topology's latency, subject to an optional
-//! loss model or deterministic drop filter) and setting timers.
-//!
-//! Determinism: all randomness is derived from the seed passed to
-//! [`Sim::new`]; events at equal instants fire in scheduling order. Running
-//! the same simulation twice produces byte-identical traces.
+//! A node is anything implementing [`SimNode`]. It interacts with the
+//! world exclusively through the [`Ctx`] handed to its callbacks: sending
+//! packets (delivered after the topology's latency, subject to the
+//! engine's loss model, drop filter, and fault plan) and setting timers.
+//! The engine that hosts nodes is [`ShardedSim`](crate::shard::ShardedSim);
+//! with one shard it is the sequential driver.
 //!
 //! ## Hot-path design
 //!
-//! The event loop is allocation-free and queue-cheap in steady state:
+//! * Side effects buffered during a callback go into a per-shard scratch
+//!   op buffer that is drained and reused, not a fresh `Vec` per callback.
+//! * Timers live in a **slab with generation counters** ([`TimerId`]
+//!   packs `(slot, generation)`): cancellation bumps the generation and
+//!   recycles the slot immediately — no tombstone set grows, and the
+//!   stale queue entry is skipped when it surfaces.
+//! * Multi-destination sends ([`Ctx::send_many`], [`Ctx::send_group`]) are
+//!   **one op** holding the message once, with the target list in a reused
+//!   arena; the engine schedules one region-timed batch event per distinct
+//!   arrival time. With an `Arc`-backed payload type (e.g. `bytes::Bytes`)
+//!   a regional multicast never copies payload bytes. Loss and filter
+//!   decisions are still made per destination, in destination order, so a
+//!   fan-out is observably identical to a loop of [`Ctx::send`].
 //!
-//! * Events are ordered by a **hierarchical timing wheel**
-//!   ([`crate::event::EventQueue`]): O(1) amortized schedule/pop, event
-//!   payloads in a generation-counted slab, exact `(time, seq)` pop order.
-//! * Side effects buffered during a callback go into a **per-`Sim` scratch
-//!   op buffer** that is drained and reused, instead of a fresh
-//!   `Vec` per callback.
-//! * Timers live in a **slab with generation counters**
-//!   ([`TimerId`] packs `(slot, generation)`): cancellation bumps the
-//!   generation and recycles the slot immediately — no tombstone set
-//!   grows, and the stale queue entry is skipped when it surfaces.
-//! * Multi-destination sends ([`Ctx::send_many`], [`Ctx::send_group`]) and
-//!   injected multicast plans schedule **one region-timed batch event per
-//!   distinct arrival time** instead of one queue entry per destination.
-//!   Loss and drop-filter decisions are made per destination at schedule
-//!   time (the reference RNG stream, byte for byte); the batch expands
-//!   lazily when it fires, delivering destinations back to back in the
-//!   order the reference queue would have popped them. Target vectors are
-//!   pooled, and with an `Arc`-backed payload type (e.g. `bytes::Bytes`) a
-//!   regional multicast never copies payload bytes.
-//! * [`Sim::reset`] re-arms the same simulator for another run while the
-//!   queue, slab, and scratch buffers keep their allocations warm.
+//! ## Example
 //!
-//! [`Sim::new_reference`] builds the same simulator with the
-//! straightforward strategies instead (heap-based reference queue,
-//! allocate per callback, one queue entry per destination). It is kept as
-//! an executable specification: the differential tests assert
-//! byte-identical traces between the two, and `BENCH_sim_core.json`
-//! reports the speedup of the default path over it.
-
-use std::sync::Arc;
+//! ```
+//! use rrmp_netsim::shard::ShardedSim;
+//! use rrmp_netsim::sim::{Ctx, SimNode};
+//! use rrmp_netsim::time::SimTime;
+//! use rrmp_netsim::topology::{presets, NodeId};
+//!
+//! // Each node forwards a counter to the next node until it reaches 3.
+//! struct Relay;
+//! impl SimNode for Relay {
+//!     type Msg = u32;
+//!     fn on_packet(&mut self, ctx: &mut Ctx<'_, u32>, _from: NodeId, msg: u32) {
+//!         if msg < 3 {
+//!             let next = NodeId((ctx.self_id().0 + 1) % 4);
+//!             ctx.send(next, msg + 1);
+//!         }
+//!     }
+//!     fn on_timer(&mut self, _ctx: &mut Ctx<'_, u32>, _token: u64) {}
+//! }
+//!
+//! let topo = presets::paper_region(4);
+//! let mut sim = ShardedSim::new(topo, (0..4).map(|_| Relay).collect(), 42, 1);
+//! sim.inject(NodeId(1), NodeId(0), 1, SimTime::ZERO);
+//! let end = sim.run_until_quiescent(SimTime::from_secs(1));
+//! // Two hops of 5ms each after the injected packet.
+//! assert_eq!(end, SimTime::from_millis(10));
+//! ```
 
 use rand::rngs::StdRng;
-use rrmp_trace::{streams, EventKind, TraceSink};
 
-use crate::event::{EventQueue, ReferenceEventQueue};
-use crate::fault::FaultPlan;
-use crate::loss::{DeliveryPlan, LossModel};
-use crate::rng::SeedSequence;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, Topology};
 
@@ -119,7 +122,8 @@ impl TimerSlab {
     /// Clears every timer for a fresh run while keeping the slot
     /// allocation: armed generations are bumped to even (retired) and all
     /// slots re-enter the free list, so outstanding [`TimerId`]s die and
-    /// the slab's memory stays warm across [`Sim::reset`].
+    /// the slab's memory stays warm across
+    /// [`ShardedSim::reset`](crate::shard::ShardedSim::reset).
     pub(crate) fn reset(&mut self) {
         self.free.clear();
         for (slot, gen) in self.gens.iter_mut().enumerate() {
@@ -137,66 +141,11 @@ impl TimerSlab {
     }
 }
 
-/// The event queue behind a [`Sim`]: the timing-wheel [`EventQueue`] on
-/// the optimized path, the retained heap-based [`ReferenceEventQueue`] in
-/// reference mode — the pairing the trace-equality tests exercise.
-enum SimQueue<E> {
-    Wheel(EventQueue<E>),
-    Reference(ReferenceEventQueue<E>),
-}
-
-impl<E> SimQueue<E> {
-    fn schedule(&mut self, at: SimTime, event: E) {
-        match self {
-            SimQueue::Wheel(q) => q.schedule(at, event),
-            SimQueue::Reference(q) => q.schedule(at, event),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        match self {
-            SimQueue::Wheel(q) => q.pop(),
-            SimQueue::Reference(q) => q.pop(),
-        }
-    }
-
-    /// Peek-gated pop: an event past `limit` is never removed (and so
-    /// never re-inserted) — one queue operation at the horizon.
-    fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        match self {
-            SimQueue::Wheel(q) => q.pop_at_or_before(limit),
-            SimQueue::Reference(q) => q.pop_at_or_before(limit),
-        }
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        match self {
-            SimQueue::Wheel(q) => q.peek_time(),
-            SimQueue::Reference(q) => q.peek_time(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            SimQueue::Wheel(q) => q.len(),
-            SimQueue::Reference(q) => q.len(),
-        }
-    }
-
-    /// Drops pending events; both backends keep their allocations.
-    fn clear(&mut self) {
-        match self {
-            SimQueue::Wheel(q) => q.clear(),
-            SimQueue::Reference(q) => q.clear(),
-        }
-    }
-}
-
 /// Application logic hosted on a simulated node.
 ///
 /// Implementations receive packets and timer expirations and react through
-/// the [`Ctx`]. All callbacks are synchronous; the simulator is
-/// single-threaded and deterministic.
+/// the [`Ctx`]. All callbacks are synchronous, a node's callbacks never
+/// run concurrently, and the simulator is deterministic.
 pub trait SimNode {
     /// The packet type exchanged between nodes.
     type Msg: Clone;
@@ -213,9 +162,8 @@ pub trait SimNode {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self::Msg>, token: u64);
 }
 
-/// Buffered side effects produced during one callback. Shared with the
-/// sharded simulator ([`crate::shard`]), whose shards drain the same op
-/// language from the same [`Ctx`].
+/// Buffered side effects produced during one callback, drained by the
+/// engine ([`crate::shard`]) once the callback returns.
 pub(crate) enum Op<M> {
     /// Unicast to one destination.
     Send { to: NodeId, msg: M },
@@ -225,9 +173,6 @@ pub(crate) enum Op<M> {
     SendGroup { msg: M },
     /// Schedule `token` on the caller at `at`.
     SetTimer { id: TimerId, token: u64, at: SimTime },
-    /// Reference mode only: record a cancellation tombstone (the
-    /// pre-refactor cancellation path).
-    Cancel { id: TimerId },
 }
 
 /// The execution context handed to node callbacks.
@@ -242,10 +187,6 @@ pub struct Ctx<'a, M> {
     pub(crate) ops: &'a mut Vec<Op<M>>,
     pub(crate) targets: &'a mut Vec<NodeId>,
     pub(crate) timers: &'a mut TimerSlab,
-    /// When false (reference mode), multi-destination sends degrade to one
-    /// op per destination with an eager clone — the straightforward
-    /// implementation the default path is benchmarked against.
-    pub(crate) fanout_ops: bool,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -279,34 +220,16 @@ impl<'a, M> Ctx<'a, M> {
         self.ops.push(Op::Send { to, msg });
     }
 
-    /// Sends a copy of `msg` to every node in `to` (loss applies per
-    /// copy). Alias of [`Ctx::send_many`], kept for source compatibility.
-    pub fn send_all<I: IntoIterator<Item = NodeId>>(&mut self, to: I, msg: M)
-    where
-        M: Clone,
-    {
-        self.send_many(to, msg);
-    }
-
     /// Fan-out send: a copy of `msg` to every node in `to` other than the
     /// caller (loss and latency apply per destination).
     ///
-    /// The fast path enqueues **one** op holding `msg` once and the target
-    /// list in a reused arena; copies are shallow clones made as each
-    /// delivery event is scheduled. Use this for regional multicasts.
+    /// Enqueues **one** op holding `msg` once and the target list in a
+    /// reused arena; copies are shallow clones made as each delivery event
+    /// is scheduled. Use this for regional multicasts.
     pub fn send_many<I: IntoIterator<Item = NodeId>>(&mut self, to: I, msg: M)
     where
         M: Clone,
     {
-        if !self.fanout_ops {
-            // Reference mode: the historical one-op-per-destination path.
-            for node in to {
-                if node != self.self_id {
-                    self.ops.push(Op::Send { to: node, msg: msg.clone() });
-                }
-            }
-            return;
-        }
         let start = self.targets.len();
         let self_id = self.self_id;
         self.targets.extend(to.into_iter().filter(|&n| n != self_id));
@@ -323,11 +246,6 @@ impl<'a, M> Ctx<'a, M> {
     where
         M: Clone,
     {
-        if !self.fanout_ops {
-            let n = self.topo.node_count() as u32;
-            self.send_many((0..n).map(NodeId), msg);
-            return;
-        }
         self.ops.push(Op::SendGroup { msg });
     }
 
@@ -339,116 +257,21 @@ impl<'a, M> Ctx<'a, M> {
     }
 
     /// Cancels a previously set timer. Cancelling an already-fired timer is
-    /// a no-op.
+    /// a no-op. Bumps the slot generation: the pending queue entry dies on
+    /// pop, and the slot is immediately reusable.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        if self.fanout_ops {
-            // Fast path: bump the slot generation; the pending heap entry
-            // dies on pop, and the slot is immediately reusable.
-            self.timers.retire(id);
-        } else {
-            // Reference mode: the historical tombstone-set path.
-            self.ops.push(Op::Cancel { id });
-        }
+        self.timers.retire(id);
     }
 }
 
-/// Appends `to` to the arrival-time group for `arrive`, opening a new
-/// pooled group if this is the first destination with that latency.
-///
-/// Shared by both engines ([`Sim`] and [`crate::shard::ShardedSim`]): the
-/// grouping discipline decides batch membership and batch order, which
-/// the byte-identical-trace guarantees depend on — one implementation,
-/// not two hand-synced copies.
-pub(crate) fn group_fanout_target(
-    target_pool: &mut Vec<Vec<NodeId>>,
-    groups: &mut Vec<(SimTime, Vec<NodeId>)>,
-    arrive: SimTime,
-    to: NodeId,
-) {
-    match groups.iter_mut().find(|(t, _)| *t == arrive) {
-        Some((_, batch)) => batch.push(to),
-        None => {
-            let mut batch = target_pool.pop().unwrap_or_default();
-            debug_assert!(batch.is_empty());
-            batch.push(to);
-            groups.push((arrive, batch));
-        }
+impl<M> std::fmt::Debug for Ctx<'_, M> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Ctx")
+            .field("now", &self.now)
+            .field("self_id", &self.self_id)
+            .field("buffered_ops", &self.ops.len())
+            .finish_non_exhaustive()
     }
-}
-
-/// Schedules one event per arrival-time group — a plain delivery for a
-/// single destination, a batch otherwise — in first-destination order,
-/// with the last group taking the original message and the rest shallow
-/// clones. Leaves `groups` empty with its capacity intact. Shared by both
-/// engines (see [`group_fanout_target`]).
-pub(crate) fn flush_fanout_groups<M: Clone>(
-    from: NodeId,
-    msg: M,
-    groups: &mut Vec<(SimTime, Vec<NodeId>)>,
-    target_pool: &mut Vec<Vec<NodeId>>,
-    mut schedule: impl FnMut(SimTime, SimEvent<M>),
-) {
-    let n = groups.len();
-    let mut msg = Some(msg);
-    for (i, (arrive, mut batch)) in groups.drain(..).enumerate() {
-        let copy = if i + 1 == n {
-            msg.take().expect("consumed only once")
-        } else {
-            msg.as_ref().expect("taken only at the end").clone()
-        };
-        if batch.len() == 1 {
-            let to = batch[0];
-            batch.clear();
-            target_pool.push(batch);
-            schedule(arrive, SimEvent::Deliver { to, from, msg: copy });
-        } else {
-            schedule(arrive, SimEvent::DeliverBatch { from, targets: batch, msg: copy });
-        }
-    }
-}
-
-/// Hands each batch target a copy of `msg` in target order, the **last**
-/// taking the original (with an `Arc`-backed payload the batch never deep
-/// copies). This is the lazy expansion of a region-timed batch event —
-/// the same clone discipline on both engines.
-pub(crate) fn expand_batch<M: Clone>(
-    targets: &[NodeId],
-    msg: M,
-    mut deliver: impl FnMut(NodeId, M),
-) {
-    let last = targets.len() - 1;
-    let mut msg = Some(msg);
-    for (i, &to) in targets.iter().enumerate() {
-        let copy = if i == last {
-            msg.take().expect("consumed only once")
-        } else {
-            msg.as_ref().expect("taken only at the end").clone()
-        };
-        deliver(to, copy);
-    }
-}
-
-pub(crate) enum SimEvent<M> {
-    Deliver {
-        to: NodeId,
-        from: NodeId,
-        msg: M,
-    },
-    /// One region-timed batch: every node in `targets` receives a copy of
-    /// `msg` at this event's instant, in target order. Scheduled by the
-    /// optimized fan-out path (one queue entry per distinct arrival time
-    /// instead of one per destination) and expanded lazily at delivery;
-    /// the target vector is recycled through the `Sim`'s pool.
-    DeliverBatch {
-        from: NodeId,
-        targets: Vec<NodeId>,
-        msg: M,
-    },
-    Timer {
-        node: NodeId,
-        token: u64,
-        id: TimerId,
-    },
 }
 
 /// Aggregate network-level counters for one simulation run.
@@ -470,1070 +293,22 @@ pub struct NetCounters {
     /// ([`Ctx::send_many`] / [`Ctx::send_group`] with at least one target).
     pub fanouts: u64,
     /// Packets delivered by expanding a region-timed batch event (a subset
-    /// of [`NetCounters::delivered`]; always zero in reference mode).
+    /// of [`NetCounters::delivered`]).
     pub batched_deliveries: u64,
-    /// Unicast copies dropped by an armed [`FaultPlan`] (a subset of
+    /// Unicast copies dropped by an armed
+    /// [`FaultPlan`](crate::fault::FaultPlan) (a subset of
     /// [`NetCounters::unicasts_dropped`]).
     pub faults_dropped: u64,
-    /// Extra copies created by an armed [`FaultPlan`]'s duplication
+    /// Extra copies created by an armed fault plan's duplication
     /// episodes (each also counts in [`NetCounters::delivered`] when it
     /// arrives, but not in [`NetCounters::unicasts_sent`] — the network
     /// duplicated it, the sender did not send it).
     pub faults_duplicated: u64,
 }
 
-/// The deterministic discrete-event simulator.
-///
-/// ```
-/// use rrmp_netsim::sim::{Sim, SimNode, Ctx};
-/// use rrmp_netsim::topology::{presets, NodeId};
-/// use rrmp_netsim::time::{SimTime, SimDuration};
-///
-/// // Each node forwards a counter to the next node until it reaches 3.
-/// struct Relay;
-/// impl SimNode for Relay {
-///     type Msg = u32;
-///     fn on_packet(&mut self, ctx: &mut Ctx<'_, u32>, _from: NodeId, msg: u32) {
-///         if msg < 3 {
-///             let next = NodeId((ctx.self_id().0 + 1) % 4);
-///             ctx.send(next, msg + 1);
-///         }
-///     }
-///     fn on_timer(&mut self, _ctx: &mut Ctx<'_, u32>, _token: u64) {}
-/// }
-///
-/// let topo = presets::paper_region(4);
-/// let mut sim = Sim::new(topo, (0..4).map(|_| Relay).collect(), 42);
-/// sim.inject(NodeId(1), NodeId(0), 1, SimTime::ZERO);
-/// let end = sim.run_until_quiescent(SimTime::from_secs(1));
-/// // Two hops of 5ms each after the injected packet.
-/// assert_eq!(end, SimTime::from_millis(10));
-/// ```
-pub struct Sim<N: SimNode> {
-    topo: Topology,
-    nodes: Vec<N>,
-    rngs: Vec<StdRng>,
-    queue: SimQueue<SimEvent<N::Msg>>,
-    now: SimTime,
-    timers: TimerSlab,
-    unicast_loss: LossModel,
-    loss_rng: StdRng,
-    /// Armed fault timeline, consulted per unicast copy at transmit time
-    /// (`None` costs one branch — the unarmed hot path is unchanged).
-    fault: Option<Arc<FaultPlan>>,
-    /// Armed observer sink fed by the engine hooks (deliveries on the
-    /// receiving node, wire verdicts on the sender). Same zero-cost
-    /// contract as `fault`: `None` costs one branch.
-    trace: Option<Box<TraceSink>>,
-    counters: NetCounters,
-    #[allow(clippy::type_complexity)]
-    drop_filter: Option<Box<dyn FnMut(NodeId, NodeId, &N::Msg) -> bool>>,
-    started: bool,
-    /// Reference mode only: the pre-refactor cancellation tombstones,
-    /// consulted on every timer pop. Unused (empty) on the fast path.
-    cancelled: std::collections::HashSet<u64>,
-    /// Reused callback side-effect buffer (empty between dispatches).
-    scratch_ops: Vec<Op<N::Msg>>,
-    /// Reused fan-out target arena (empty between dispatches).
-    scratch_targets: Vec<NodeId>,
-    /// Recycled target vectors for batch delivery events.
-    target_pool: Vec<Vec<NodeId>>,
-    /// Reused arrival-time grouping buffer for fan-out scheduling (empty
-    /// between fan-outs; the inner vectors come from `target_pool`).
-    scratch_groups: Vec<(SimTime, Vec<NodeId>)>,
-    /// False in reference mode: allocate per callback, one op per
-    /// destination (see [`Sim::new_reference`]).
-    optimized: bool,
-}
-
-impl<N: SimNode> std::fmt::Debug for Sim<N> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Sim")
-            .field("now", &self.now)
-            .field("nodes", &self.nodes.len())
-            .field("pending_events", &self.queue.len())
-            .field("counters", &self.counters)
-            .field("optimized", &self.optimized)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<M> std::fmt::Debug for Ctx<'_, M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Ctx")
-            .field("now", &self.now)
-            .field("self_id", &self.self_id)
-            .field("buffered_ops", &self.ops.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<N: SimNode> Sim<N> {
-    /// Creates a simulator over `topo` hosting `nodes` (one per
-    /// [`NodeId`], in order), with all randomness derived from `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` does not match the topology's node count.
-    #[must_use]
-    pub fn new(topo: Topology, nodes: Vec<N>, seed: u64) -> Self {
-        Self::with_mode(topo, nodes, seed, true)
-    }
-
-    /// Creates a simulator running the **reference** event loop: a fresh
-    /// op buffer is allocated for every callback and fan-out sends clone
-    /// the message once per destination — the straightforward
-    /// implementation this module's optimized hot path replaced.
-    ///
-    /// Observable behavior (traces, counters except
-    /// [`NetCounters::fanouts`], RNG streams) is identical to [`Sim::new`]
-    /// by construction, which the differential tests assert. Kept for
-    /// those tests and as the baseline of `BENCH_sim_core.json`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` does not match the topology's node count.
-    #[must_use]
-    pub fn new_reference(topo: Topology, nodes: Vec<N>, seed: u64) -> Self {
-        Self::with_mode(topo, nodes, seed, false)
-    }
-
-    fn with_mode(topo: Topology, nodes: Vec<N>, seed: u64, optimized: bool) -> Self {
-        assert_eq!(
-            nodes.len(),
-            topo.node_count(),
-            "need exactly one node implementation per topology node"
-        );
-        let seq = SeedSequence::new(seed);
-        let rngs = (0..nodes.len()).map(|i| seq.rng_for(i as u64)).collect();
-        Sim {
-            topo,
-            nodes,
-            rngs,
-            queue: if optimized {
-                SimQueue::Wheel(EventQueue::new())
-            } else {
-                SimQueue::Reference(ReferenceEventQueue::new())
-            },
-            now: SimTime::ZERO,
-            timers: TimerSlab::default(),
-            unicast_loss: LossModel::None,
-            loss_rng: seq.rng_for(u64::MAX / 2),
-            fault: None,
-            trace: None,
-            counters: NetCounters::default(),
-            drop_filter: None,
-            started: false,
-            cancelled: std::collections::HashSet::new(),
-            scratch_ops: Vec::new(),
-            scratch_targets: Vec::new(),
-            target_pool: Vec::new(),
-            scratch_groups: Vec::new(),
-            optimized,
-        }
-    }
-
-    /// Resets the simulator for a fresh run over the **same topology**:
-    /// replaces the nodes, re-derives every RNG stream from `seed`, zeroes
-    /// the clock and counters, and clears the event queue and timer slab
-    /// **without dropping their allocations** — a reused `Sim` starts its
-    /// next run at full capacity instead of re-growing from empty (the
-    /// pattern repeated bench iterations and multi-run experiments use).
-    /// The loss model, drop filter, and armed fault plan are retained.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` does not match the topology's node count.
-    pub fn reset(&mut self, nodes: Vec<N>, seed: u64) {
-        assert_eq!(
-            nodes.len(),
-            self.topo.node_count(),
-            "need exactly one node implementation per topology node"
-        );
-        let seq = SeedSequence::new(seed);
-        self.nodes = nodes;
-        self.rngs.clear();
-        self.rngs.extend((0..self.nodes.len()).map(|i| seq.rng_for(i as u64)));
-        self.loss_rng = seq.rng_for(u64::MAX / 2);
-        self.queue.clear();
-        self.timers.reset();
-        self.now = SimTime::ZERO;
-        self.counters = NetCounters::default();
-        self.started = false;
-        self.cancelled.clear();
-        // An armed observer stays armed across resets (matching the fault
-        // plan), but the previous run's events are discarded.
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.clear();
-        }
-    }
-
-    /// Whether this simulator runs the optimized event loop
-    /// ([`Sim::new`]) as opposed to the reference one
-    /// ([`Sim::new_reference`]).
-    #[must_use]
-    pub fn is_optimized(&self) -> bool {
-        self.optimized
-    }
-
-    /// Sets the loss model applied to every unicast send (default: none —
-    /// the paper's assumption that requests and repairs are not lost).
-    pub fn set_unicast_loss(&mut self, model: LossModel) {
-        self.unicast_loss = model;
-    }
-
-    /// Installs a deterministic drop filter consulted for every packet
-    /// (return `true` to drop). Useful for fault-injection tests.
-    pub fn set_drop_filter<F>(&mut self, f: F)
-    where
-        F: FnMut(NodeId, NodeId, &N::Msg) -> bool + 'static,
-    {
-        self.drop_filter = Some(Box::new(f));
-    }
-
-    /// Arms (or with `None` disarms) a [`FaultPlan`], consulted for every
-    /// unicast copy at transmit time. Fault verdicts are pure functions
-    /// of `(plan, send time, endpoints)`, so an armed plan keeps the run
-    /// fully deterministic.
-    pub fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>) {
-        self.fault = plan;
-    }
-
-    /// Arms (or with `None` disarms) the engine observer. While armed,
-    /// every delivery is recorded against the receiving node and every
-    /// wire verdict (loss-model drop, fault drop, duplication) against
-    /// the sender, into bounded per-node rings.
-    pub fn set_trace(&mut self, sink: Option<Box<TraceSink>>) {
-        self.trace = sink;
-    }
-
-    /// The armed engine observer, if any.
-    #[must_use]
-    pub fn trace(&self) -> Option<&TraceSink> {
-        self.trace.as_deref()
-    }
-
-    /// Appends every engine-recorded event to `out` (unsorted; callers
-    /// combine sinks and sort canonically).
-    pub fn collect_trace(&self, out: &mut Vec<rrmp_trace::TraceEvent>) {
-        if let Some(t) = self.trace.as_deref() {
-            t.collect_into(out);
-        }
-    }
-
-    /// Current simulated time.
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The topology being simulated.
-    #[must_use]
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// Network counters accumulated so far.
-    #[must_use]
-    pub fn counters(&self) -> NetCounters {
-        self.counters
-    }
-
-    /// Immutable access to a node (for instrumentation between steps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    #[must_use]
-    pub fn node(&self, id: NodeId) -> &N {
-        &self.nodes[id.index()]
-    }
-
-    /// Mutable access to a node (for instrumentation between steps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        &mut self.nodes[id.index()]
-    }
-
-    /// Iterates over all nodes.
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &N)> {
-        self.nodes.iter().enumerate().map(|(i, n)| (NodeId(i as u32), n))
-    }
-
-    /// Injects a packet from `from` arriving at `to` at absolute time `at`
-    /// (bypassing latency and loss) — used to set up experiment initial
-    /// conditions such as "these members hold the message at time zero".
-    pub fn inject(&mut self, to: NodeId, from: NodeId, msg: N::Msg, at: SimTime) {
-        self.queue.schedule(at, SimEvent::Deliver { to, from, msg });
-    }
-
-    /// Injects one multicast transmission according to a [`DeliveryPlan`]:
-    /// every plan holder other than `from` receives `msg` at
-    /// `at + one_way_latency(from, holder)`. Copies are shallow clones of
-    /// the same message value.
-    pub fn inject_multicast_plan(
-        &mut self,
-        from: NodeId,
-        msg: &N::Msg,
-        plan: &DeliveryPlan,
-        at: SimTime,
-    ) {
-        if !self.optimized {
-            for to in plan.holders() {
-                if to == from {
-                    continue;
-                }
-                let arrive = at + self.topo.one_way_latency(from, to);
-                self.queue.schedule(arrive, SimEvent::Deliver { to, from, msg: msg.clone() });
-            }
-            return;
-        }
-        // Optimized path: one region-timed batch event per distinct
-        // arrival time instead of one queue entry per holder.
-        debug_assert!(self.scratch_groups.is_empty());
-        let mut groups = std::mem::take(&mut self.scratch_groups);
-        for to in plan.holders() {
-            if to == from {
-                continue;
-            }
-            let arrive = at + self.topo.one_way_latency(from, to);
-            group_fanout_target(&mut self.target_pool, &mut groups, arrive, to);
-        }
-        flush_fanout_groups(from, msg.clone(), &mut groups, &mut self.target_pool, |at, ev| {
-            self.queue.schedule(at, ev);
-        });
-        self.scratch_groups = groups;
-    }
-
-    /// Injects a multicast where every holder receives `msg` at exactly
-    /// `at` (zero latency) — the paper's Figure 6/7 setup where a subset of
-    /// members "hold the message initially".
-    pub fn inject_simultaneous(
-        &mut self,
-        from: NodeId,
-        msg: &N::Msg,
-        plan: &DeliveryPlan,
-        at: SimTime,
-    ) {
-        if !self.optimized {
-            for to in plan.holders() {
-                if to == from {
-                    continue;
-                }
-                self.queue.schedule(at, SimEvent::Deliver { to, from, msg: msg.clone() });
-            }
-            return;
-        }
-        // Every holder shares the instant `at`: a single batch event.
-        debug_assert!(self.scratch_groups.is_empty());
-        let mut groups = std::mem::take(&mut self.scratch_groups);
-        for to in plan.holders() {
-            if to == from {
-                continue;
-            }
-            group_fanout_target(&mut self.target_pool, &mut groups, at, to);
-        }
-        flush_fanout_groups(from, msg.clone(), &mut groups, &mut self.target_pool, |at, ev| {
-            self.queue.schedule(at, ev);
-        });
-        self.scratch_groups = groups;
-    }
-
-    /// Schedules an external timer on `node` at absolute time `at` — used
-    /// by experiments to trigger scripted actions (e.g. a member leaving).
-    pub fn schedule_external_timer(&mut self, node: NodeId, token: u64, at: SimTime) {
-        let id = self.timers.arm();
-        self.counters.timers_set += 1;
-        self.queue.schedule(at, SimEvent::Timer { node, token, id });
-    }
-
-    /// Runs each node's [`SimNode::on_start`] callback (at most once).
-    pub fn start(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        for i in 0..self.nodes.len() {
-            self.dispatch_with(i, |node, ctx| node.on_start(ctx));
-        }
-    }
-
-    /// Processes a single event. Returns `false` if the queue was empty.
-    pub fn step(&mut self) -> bool {
-        self.start();
-        loop {
-            let Some((at, event)) = self.queue.pop() else { return false };
-            if self.dispatch_event(at, event) {
-                return true;
-            }
-        }
-    }
-
-    /// Like [`Sim::step`], but never dispatches an event scheduled after
-    /// `limit` — cancelled timers at or before `limit` are consumed
-    /// without letting a later event run early. The horizon check is a
-    /// peek-gated pop: an event past `limit` is never removed from the
-    /// queue (and so never re-inserted), costing one queue operation at
-    /// the boundary.
-    fn step_before(&mut self, limit: SimTime) -> bool {
-        self.start();
-        loop {
-            let Some((at, event)) = self.queue.pop_at_or_before(limit) else { return false };
-            if self.dispatch_event(at, event) {
-                return true;
-            }
-        }
-    }
-
-    /// Dispatches one popped event; returns `false` if it was a cancelled
-    /// timer (consumed silently, clock untouched).
-    fn dispatch_event(&mut self, at: SimTime, event: SimEvent<N::Msg>) -> bool {
-        debug_assert!(at >= self.now, "time went backwards");
-        match event {
-            SimEvent::Deliver { to, from, msg } => {
-                self.now = at;
-                self.counters.delivered += 1;
-                self.counters.events_processed += 1;
-                if let Some(t) = self.trace.as_deref_mut() {
-                    t.record(at.as_micros(), to.0, streams::ENGINE_DELIVERY, EventKind::Delivered);
-                }
-                self.dispatch_with(to.index(), |node, ctx| node.on_packet(ctx, from, msg));
-                true
-            }
-            SimEvent::DeliverBatch { from, mut targets, msg } => {
-                // Lazy expansion: the per-destination deliveries the
-                // reference path would have scheduled individually run
-                // here back to back, in target order — the same order the
-                // reference queue would pop their consecutive sequence
-                // numbers.
-                self.now = at;
-                expand_batch(&targets, msg, |to, copy| {
-                    self.counters.delivered += 1;
-                    self.counters.events_processed += 1;
-                    self.counters.batched_deliveries += 1;
-                    if let Some(t) = self.trace.as_deref_mut() {
-                        t.record(
-                            at.as_micros(),
-                            to.0,
-                            streams::ENGINE_DELIVERY,
-                            EventKind::Delivered,
-                        );
-                    }
-                    self.dispatch_with(to.index(), |node, ctx| node.on_packet(ctx, from, copy));
-                });
-                targets.clear();
-                self.target_pool.push(targets);
-                true
-            }
-            SimEvent::Timer { node, token, id } => {
-                if !self.optimized && self.cancelled.remove(&id.0) {
-                    // Reference mode: tombstoned; free the slot too.
-                    self.timers.retire(id);
-                    return false;
-                }
-                if !self.timers.retire(id) {
-                    return false; // cancelled; consume silently
-                }
-                self.now = at;
-                self.counters.timers_fired += 1;
-                self.counters.events_processed += 1;
-                self.dispatch_with(node.index(), |n, ctx| n.on_timer(ctx, token));
-                true
-            }
-        }
-    }
-
-    /// Time of the next pending event, if any.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// Processes every event scheduled at or before `t`, then advances the
-    /// clock to exactly `t`.
-    pub fn run_until(&mut self, t: SimTime) {
-        while self.step_before(t) {}
-        if self.now < t {
-            self.now = t;
-        }
-    }
-
-    /// Runs until no events remain or the clock would pass `limit`.
-    /// Returns the time of the last processed event (or the current time if
-    /// nothing ran).
-    pub fn run_until_quiescent(&mut self, limit: SimTime) -> SimTime {
-        while self.step_before(limit) {}
-        self.now
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn dispatch_with<F>(&mut self, idx: usize, f: F)
-    where
-        F: FnOnce(&mut N, &mut Ctx<'_, N::Msg>),
-    {
-        // In the optimized mode these take the (empty) per-`Sim` scratch
-        // buffers, preserving their capacity across dispatches; in
-        // reference mode fresh vectors are allocated every callback.
-        let (mut ops, mut targets) = if self.optimized {
-            debug_assert!(self.scratch_ops.is_empty() && self.scratch_targets.is_empty());
-            (std::mem::take(&mut self.scratch_ops), std::mem::take(&mut self.scratch_targets))
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        {
-            let mut ctx = Ctx {
-                now: self.now,
-                self_id: NodeId(idx as u32),
-                topo: &self.topo,
-                rng: &mut self.rngs[idx],
-                ops: &mut ops,
-                targets: &mut targets,
-                timers: &mut self.timers,
-                fanout_ops: self.optimized,
-            };
-            f(&mut self.nodes[idx], &mut ctx);
-        }
-        let from = NodeId(idx as u32);
-        for op in ops.drain(..) {
-            match op {
-                Op::Send { to, msg } => self.transmit(from, to, msg),
-                Op::SendMany { start, len, msg } => {
-                    self.counters.fanouts += 1;
-                    let range = start as usize..(start + len) as usize;
-                    self.transmit_fanout(from, targets[range].iter().copied(), msg);
-                }
-                Op::SendGroup { msg } => {
-                    self.counters.fanouts += 1;
-                    let n = self.topo.node_count() as u32;
-                    self.transmit_fanout(from, (0..n).map(NodeId).filter(|&to| to != from), msg);
-                }
-                Op::SetTimer { id, token, at } => {
-                    self.counters.timers_set += 1;
-                    self.queue.schedule(at, SimEvent::Timer { node: from, token, id });
-                }
-                Op::Cancel { id } => {
-                    self.cancelled.insert(id.0);
-                }
-            }
-        }
-        if self.optimized {
-            targets.clear();
-            self.scratch_ops = ops;
-            self.scratch_targets = targets;
-        }
-    }
-
-    /// Applies counters, the drop filter, and the loss model to every
-    /// fan-out destination **in destination order** — consuming the exact
-    /// RNG draw sequence of the reference per-destination path — then
-    /// schedules the survivors as one region-timed batch event per
-    /// distinct arrival time instead of one queue entry each. The batch
-    /// expands back into per-destination deliveries when it fires.
-    fn transmit_fanout<I>(&mut self, from: NodeId, targets: I, msg: N::Msg)
-    where
-        I: Iterator<Item = NodeId>,
-    {
-        debug_assert!(self.scratch_groups.is_empty());
-        let mut groups = std::mem::take(&mut self.scratch_groups);
-        for to in targets {
-            self.counters.unicasts_sent += 1;
-            let filtered = self.drop_filter.as_mut().is_some_and(|f| f(from, to, &msg));
-            let lost = filtered || self.edge_loses(from, to);
-            if lost {
-                self.counters.unicasts_dropped += 1;
-                if let Some(t) = self.trace.as_deref_mut() {
-                    t.record(
-                        self.now.as_micros(),
-                        from.0,
-                        streams::ENGINE_WIRE,
-                        EventKind::PacketDropped { to: to.0 },
-                    );
-                }
-                continue;
-            }
-            let arrive = self.now + self.topo.one_way_latency(from, to);
-            group_fanout_target(&mut self.target_pool, &mut groups, arrive, to);
-            if let Some(extra) = self.dup_delay(from, to) {
-                // The duplicate rides the same batch machinery: one more
-                // target in the (strictly later) arrival-time group.
-                self.counters.faults_duplicated += 1;
-                if let Some(t) = self.trace.as_deref_mut() {
-                    t.record(
-                        self.now.as_micros(),
-                        from.0,
-                        streams::ENGINE_WIRE,
-                        EventKind::FaultDuplicated { to: to.0 },
-                    );
-                }
-                group_fanout_target(&mut self.target_pool, &mut groups, arrive + extra, to);
-            }
-        }
-        flush_fanout_groups(from, msg, &mut groups, &mut self.target_pool, |at, ev| {
-            self.queue.schedule(at, ev);
-        });
-        self.scratch_groups = groups;
-    }
-
-    /// Applies counters, the drop filter, and the loss model to one
-    /// unicast copy, scheduling its delivery if it survives.
-    fn transmit(&mut self, from: NodeId, to: NodeId, msg: N::Msg) {
-        self.counters.unicasts_sent += 1;
-        let filtered = self.drop_filter.as_mut().is_some_and(|f| f(from, to, &msg));
-        let lost = filtered || self.edge_loses(from, to);
-        if lost {
-            self.counters.unicasts_dropped += 1;
-            if let Some(t) = self.trace.as_deref_mut() {
-                t.record(
-                    self.now.as_micros(),
-                    from.0,
-                    streams::ENGINE_WIRE,
-                    EventKind::PacketDropped { to: to.0 },
-                );
-            }
-            return;
-        }
-        let arrive = self.now + self.topo.one_way_latency(from, to);
-        if let Some(extra) = self.dup_delay(from, to) {
-            self.counters.faults_duplicated += 1;
-            if let Some(t) = self.trace.as_deref_mut() {
-                t.record(
-                    self.now.as_micros(),
-                    from.0,
-                    streams::ENGINE_WIRE,
-                    EventKind::FaultDuplicated { to: to.0 },
-                );
-            }
-            self.queue.schedule(arrive + extra, SimEvent::Deliver { to, from, msg: msg.clone() });
-        }
-        self.queue.schedule(arrive, SimEvent::Deliver { to, from, msg });
-    }
-
-    /// The edge loss decision for one surviving-the-filter copy: an armed
-    /// fault plan gets the first say (and an active loss burst overrides
-    /// the base model entirely); otherwise the base loss model draws.
-    fn edge_loses(&mut self, from: NodeId, to: NodeId) -> bool {
-        let verdict = match self.fault.as_deref() {
-            None => None,
-            Some(plan) => plan.drops(self.now, from, to, &self.topo),
-        };
-        match verdict {
-            Some(true) => {
-                self.counters.faults_dropped += 1;
-                // A fault drop also records a PacketDropped at the call
-                // site (mirroring `faults_dropped` + `unicasts_dropped`
-                // both incrementing); this event marks the verdict.
-                if let Some(t) = self.trace.as_deref_mut() {
-                    t.record(
-                        self.now.as_micros(),
-                        from.0,
-                        streams::ENGINE_WIRE,
-                        EventKind::FaultDropped { to: to.0 },
-                    );
-                }
-                true
-            }
-            Some(false) => false,
-            None => self.unicast_loss.drops_unicast(&mut self.loss_rng),
-        }
-    }
-
-    /// The duplication decision for one copy that survived the edge.
-    fn dup_delay(&self, from: NodeId, to: NodeId) -> Option<SimDuration> {
-        self.fault.as_deref().and_then(|plan| plan.duplicate_delay(self.now, from, to))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::presets::paper_region;
-    use crate::topology::TopologyBuilder;
-
-    /// Node that records everything it observes.
-    #[derive(Default)]
-    struct Probe {
-        packets: Vec<(SimTime, NodeId, u32)>,
-        timers: Vec<(SimTime, u64)>,
-        started: bool,
-    }
-
-    impl SimNode for Probe {
-        type Msg = u32;
-        fn on_start(&mut self, _ctx: &mut Ctx<'_, u32>) {
-            self.started = true;
-        }
-        fn on_packet(&mut self, ctx: &mut Ctx<'_, u32>, from: NodeId, msg: u32) {
-            self.packets.push((ctx.now(), from, msg));
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, u32>, token: u64) {
-            self.timers.push((ctx.now(), token));
-        }
-    }
-
-    fn probes(n: usize) -> Vec<Probe> {
-        (0..n).map(|_| Probe::default()).collect()
-    }
-
-    #[test]
-    fn unicast_latency_applied() {
-        let topo = paper_region(3);
-        let mut sim = Sim::new(topo, probes(3), 1);
-        sim.inject(NodeId(1), NodeId(0), 7, SimTime::ZERO);
-        sim.run_until_quiescent(SimTime::from_secs(1));
-        assert_eq!(sim.node(NodeId(1)).packets, vec![(SimTime::ZERO, NodeId(0), 7)]);
-        assert!(sim.node(NodeId(0)).started);
-    }
-
-    /// Responder sends an ack back on first packet.
-    struct Echo;
-    impl SimNode for Echo {
-        type Msg = u32;
-        fn on_packet(&mut self, ctx: &mut Ctx<'_, u32>, from: NodeId, msg: u32) {
-            if msg == 0 {
-                ctx.send(from, 1);
-            }
-        }
-        fn on_timer(&mut self, _: &mut Ctx<'_, u32>, _: u64) {}
-    }
-
-    #[test]
-    fn round_trip_takes_rtt() {
-        let topo = paper_region(2);
-        let mut sim = Sim::new(topo, vec![Echo, Echo], 2);
-        sim.inject(NodeId(1), NodeId(0), 0, SimTime::ZERO);
-        let end = sim.run_until_quiescent(SimTime::from_secs(1));
-        // Echo reply travels one intra-region hop: 5ms.
-        assert_eq!(end, SimTime::from_millis(5));
-    }
-
-    #[test]
-    fn timers_fire_and_cancel() {
-        struct TimerNode {
-            fired: Vec<u64>,
-            cancel_me: Option<TimerId>,
-        }
-        impl SimNode for TimerNode {
-            type Msg = ();
-            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
-                ctx.set_timer(SimDuration::from_millis(1), 1);
-                self.cancel_me = Some(ctx.set_timer(SimDuration::from_millis(2), 2));
-                ctx.set_timer(SimDuration::from_millis(3), 3);
-            }
-            fn on_packet(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: ()) {}
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, token: u64) {
-                if token == 1 {
-                    let id = self.cancel_me.take().expect("set in on_start");
-                    ctx.cancel_timer(id);
-                }
-                self.fired.push(token);
-            }
-        }
-        let topo = paper_region(1);
-        let mut sim = Sim::new(topo, vec![TimerNode { fired: vec![], cancel_me: None }], 3);
-        sim.run_until_quiescent(SimTime::from_secs(1));
-        assert_eq!(sim.node(NodeId(0)).fired, vec![1, 3]);
-        assert_eq!(sim.counters().timers_set, 3);
-        assert_eq!(sim.counters().timers_fired, 2);
-    }
-
-    #[test]
-    fn drop_filter_discards() {
-        struct Sender;
-        impl SimNode for Sender {
-            type Msg = u32;
-            fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
-                if ctx.self_id() == NodeId(0) {
-                    ctx.send(NodeId(1), 1);
-                    ctx.send(NodeId(1), 2);
-                }
-            }
-            fn on_packet(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: u32) {}
-            fn on_timer(&mut self, _: &mut Ctx<'_, u32>, _: u64) {}
-        }
-        let topo = paper_region(2);
-        let mut sim = Sim::new(topo, vec![Sender, Sender], 4);
-        sim.set_drop_filter(|_, _, &msg| msg == 1);
-        sim.run_until_quiescent(SimTime::from_secs(1));
-        assert_eq!(sim.counters().unicasts_sent, 2);
-        assert_eq!(sim.counters().unicasts_dropped, 1);
-        assert_eq!(sim.counters().delivered, 1);
-    }
-
-    #[test]
-    fn unicast_loss_model_applies() {
-        struct Spammer;
-        impl SimNode for Spammer {
-            type Msg = u32;
-            fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
-                if ctx.self_id() == NodeId(0) {
-                    for i in 0..1000 {
-                        ctx.send(NodeId(1), i);
-                    }
-                }
-            }
-            fn on_packet(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: u32) {}
-            fn on_timer(&mut self, _: &mut Ctx<'_, u32>, _: u64) {}
-        }
-        let topo = paper_region(2);
-        let mut sim = Sim::new(topo, vec![Spammer, Spammer], 5);
-        sim.set_unicast_loss(LossModel::Bernoulli { p: 0.5 });
-        sim.run_until_quiescent(SimTime::from_secs(1));
-        let dropped = sim.counters().unicasts_dropped;
-        assert!((300..700).contains(&dropped), "dropped {dropped} of 1000");
-    }
-
-    #[test]
-    fn multicast_plan_delivery() {
-        let topo = TopologyBuilder::new()
-            .intra_region_one_way(SimDuration::from_millis(5))
-            .inter_region_one_way(SimDuration::from_millis(20))
-            .region(2, None)
-            .region(2, Some(0))
-            .build()
-            .unwrap();
-        let mut sim = Sim::new(topo, probes(4), 6);
-        let plan = DeliveryPlan::all_but(sim.topology(), [NodeId(2)]);
-        sim.inject_multicast_plan(NodeId(0), &9, &plan, SimTime::ZERO);
-        sim.run_until_quiescent(SimTime::from_secs(1));
-        // Node 1 (same region): 5ms. Node 3 (other region): 20ms. Node 2 missed.
-        assert_eq!(sim.node(NodeId(1)).packets, vec![(SimTime::from_millis(5), NodeId(0), 9)]);
-        assert!(sim.node(NodeId(2)).packets.is_empty());
-        assert_eq!(sim.node(NodeId(3)).packets, vec![(SimTime::from_millis(20), NodeId(0), 9)]);
-    }
-
-    #[test]
-    fn inject_simultaneous_arrives_at_once() {
-        let topo = paper_region(4);
-        let mut sim = Sim::new(topo, probes(4), 7);
-        let plan = DeliveryPlan::only(sim.topology(), [NodeId(1), NodeId(3)]);
-        sim.inject_simultaneous(NodeId(0), &5, &plan, SimTime::from_millis(2));
-        sim.run_until_quiescent(SimTime::from_secs(1));
-        assert_eq!(sim.node(NodeId(1)).packets, vec![(SimTime::from_millis(2), NodeId(0), 5)]);
-        assert_eq!(sim.node(NodeId(3)).packets, vec![(SimTime::from_millis(2), NodeId(0), 5)]);
-        assert!(sim.node(NodeId(2)).packets.is_empty());
-    }
-
-    #[test]
-    fn run_until_advances_clock_exactly() {
-        let topo = paper_region(2);
-        let mut sim = Sim::new(topo, probes(2), 8);
-        sim.inject(NodeId(1), NodeId(0), 1, SimTime::from_millis(10));
-        sim.run_until(SimTime::from_millis(5));
-        assert_eq!(sim.now(), SimTime::from_millis(5));
-        assert!(sim.node(NodeId(1)).packets.is_empty());
-        sim.run_until(SimTime::from_millis(10));
-        assert_eq!(sim.node(NodeId(1)).packets.len(), 1);
-    }
-
-    #[test]
-    fn external_timer_reaches_node() {
-        let topo = paper_region(1);
-        let mut sim = Sim::new(topo, probes(1), 9);
-        sim.schedule_external_timer(NodeId(0), 42, SimTime::from_millis(3));
-        sim.run_until_quiescent(SimTime::from_secs(1));
-        assert_eq!(sim.node(NodeId(0)).timers, vec![(SimTime::from_millis(3), 42)]);
-    }
-
-    #[test]
-    fn deterministic_across_runs() {
-        fn run() -> Vec<(SimTime, NodeId, u32)> {
-            struct Gossiper;
-            impl SimNode for Gossiper {
-                type Msg = u32;
-                fn on_packet(&mut self, ctx: &mut Ctx<'_, u32>, _: NodeId, msg: u32) {
-                    if msg > 0 {
-                        use rand::Rng;
-                        let n = ctx.topology().node_count() as u32;
-                        let mut to = NodeId(ctx.rng().gen_range(0..n));
-                        if to == ctx.self_id() {
-                            to = NodeId((to.0 + 1) % n);
-                        }
-                        ctx.send(to, msg - 1);
-                    }
-                }
-                fn on_timer(&mut self, _: &mut Ctx<'_, u32>, _: u64) {}
-            }
-            let topo = paper_region(10);
-            let mut sim = Sim::new(topo, (0..10).map(|_| Gossiper).collect(), 1234);
-            sim.inject(NodeId(0), NodeId(9), 50, SimTime::ZERO);
-            // Track deliveries via a probe wrapper would need more machinery;
-            // instead assert on counters + final time.
-            sim.run_until_quiescent(SimTime::from_secs(10));
-            vec![(sim.now(), NodeId(0), sim.counters().delivered as u32)]
-        }
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    #[should_panic(expected = "one node implementation per topology node")]
-    fn node_count_mismatch_panics() {
-        let topo = paper_region(3);
-        let _ = Sim::new(topo, probes(2), 0);
-    }
-
-    /// A node that fans out to the whole region on start.
-    struct RegionCaster;
-    impl SimNode for RegionCaster {
-        type Msg = u32;
-        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
-            if ctx.self_id() == NodeId(0) {
-                let n = ctx.topology().node_count() as u32;
-                ctx.send_many((0..n).map(NodeId), 9);
-            }
-        }
-        fn on_packet(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: u32) {}
-        fn on_timer(&mut self, _: &mut Ctx<'_, u32>, _: u64) {}
-    }
-
-    #[test]
-    fn send_many_reaches_everyone_but_self() {
-        let topo = paper_region(6);
-        let mut sim = Sim::new(topo, (0..6).map(|_| RegionCaster).collect(), 10);
-        sim.run_until_quiescent(SimTime::from_secs(1));
-        assert_eq!(sim.counters().unicasts_sent, 5);
-        assert_eq!(sim.counters().delivered, 5);
-        assert_eq!(sim.counters().fanouts, 1);
-        // A single-region fan-out is one batch event covering all five
-        // destinations.
-        assert_eq!(sim.counters().batched_deliveries, 5);
-        assert_eq!(sim.pending_events(), 0);
-    }
-
-    #[test]
-    fn far_future_timer_crosses_wheel_horizon() {
-        // ~27.8 simulated hours: past the 64^6-microsecond wheel range, so
-        // the event takes the overflow path. Both modes must agree.
-        let far = SimTime::from_secs(100_000);
-        for reference in [false, true] {
-            let topo = paper_region(1);
-            let mut sim = if reference {
-                Sim::new_reference(topo, probes(1), 11)
-            } else {
-                Sim::new(topo, probes(1), 11)
-            };
-            sim.schedule_external_timer(NodeId(0), 9, far);
-            sim.schedule_external_timer(NodeId(0), 1, SimTime::from_millis(1));
-            sim.run_until_quiescent(SimTime::MAX);
-            assert_eq!(
-                sim.node(NodeId(0)).timers,
-                vec![(SimTime::from_millis(1), 1), (far, 9)],
-                "reference={reference}"
-            );
-        }
-    }
-
-    #[test]
-    fn reset_reuses_queue_capacity() {
-        fn run(sim: &mut Sim<RegionCaster>) -> NetCounters {
-            sim.run_until_quiescent(SimTime::from_secs(1));
-            sim.counters()
-        }
-        let topo = paper_region(40);
-        let mut sim = Sim::new(topo, (0..40).map(|_| RegionCaster).collect(), 12);
-        let first = run(&mut sim);
-        let warmed = match &sim.queue {
-            SimQueue::Wheel(q) => q.allocated_capacity(),
-            SimQueue::Reference(_) => unreachable!("Sim::new builds the wheel"),
-        };
-        sim.reset((0..40).map(|_| RegionCaster).collect(), 12);
-        assert_eq!(sim.now(), SimTime::ZERO);
-        assert_eq!(sim.counters(), NetCounters::default());
-        let second = run(&mut sim);
-        assert_eq!(first, second, "identical seed must replay identically");
-        let after = match &sim.queue {
-            SimQueue::Wheel(q) => q.allocated_capacity(),
-            SimQueue::Reference(_) => unreachable!(),
-        };
-        assert_eq!(after, warmed, "reset must keep the queue's allocations warm");
-    }
-
-    #[test]
-    fn send_group_matches_send_many_over_topology() {
-        struct GroupCaster;
-        impl SimNode for GroupCaster {
-            type Msg = u32;
-            fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
-                if ctx.self_id() == NodeId(2) {
-                    ctx.send_group(1);
-                }
-            }
-            fn on_packet(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: u32) {}
-            fn on_timer(&mut self, _: &mut Ctx<'_, u32>, _: u64) {}
-        }
-        let topo = paper_region(5);
-        let mut sim = Sim::new(topo, (0..5).map(|_| GroupCaster).collect(), 11);
-        sim.run_until_quiescent(SimTime::from_secs(1));
-        assert_eq!(sim.counters().unicasts_sent, 4);
-        assert_eq!(sim.counters().delivered, 4);
-    }
-
-    #[test]
-    fn reference_mode_produces_identical_observables() {
-        type PacketTrace = Vec<Vec<(SimTime, NodeId, u32)>>;
-        fn run(reference: bool) -> (PacketTrace, NetCounters) {
-            let topo = paper_region(8);
-            let mut sim = if reference {
-                Sim::new_reference(topo, probes(8), 77)
-            } else {
-                Sim::new(topo, probes(8), 77)
-            };
-            sim.set_unicast_loss(LossModel::Bernoulli { p: 0.2 });
-            sim.inject(NodeId(3), NodeId(0), 5, SimTime::ZERO);
-            sim.run_until_quiescent(SimTime::from_secs(1));
-            let mut counters = sim.counters();
-            // The only counters allowed to differ between modes.
-            counters.fanouts = 0;
-            counters.batched_deliveries = 0;
-            let traces = (0..8).map(|i| sim.node(NodeId(i)).packets.clone()).collect();
-            (traces, counters)
-        }
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn run_until_never_dispatches_past_horizon() {
-        // A cancelled timer inside the horizon must not let run_until
-        // dispatch the next (later) event early.
-        struct DecoyNode {
-            fired: Vec<SimTime>,
-        }
-        impl SimNode for DecoyNode {
-            type Msg = ();
-            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
-                let decoy = ctx.set_timer(SimDuration::from_millis(5), 1);
-                ctx.cancel_timer(decoy);
-                ctx.set_timer(SimDuration::from_millis(50), 2);
-            }
-            fn on_packet(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: ()) {}
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _: u64) {
-                self.fired.push(ctx.now());
-            }
-        }
-        for reference in [false, true] {
-            let topo = paper_region(1);
-            let nodes = vec![DecoyNode { fired: vec![] }];
-            let mut sim = if reference {
-                Sim::new_reference(topo, nodes, 1)
-            } else {
-                Sim::new(topo, nodes, 1)
-            };
-            // Horizon between the cancelled decoy (5ms) and the real
-            // timer (50ms): nothing may fire, clock lands exactly on 10ms.
-            sim.run_until(SimTime::from_millis(10));
-            assert!(sim.node(NodeId(0)).fired.is_empty(), "fired early (reference={reference})");
-            assert_eq!(sim.now(), SimTime::from_millis(10));
-            sim.run_until(SimTime::from_millis(60));
-            assert_eq!(sim.node(NodeId(0)).fired, vec![SimTime::from_millis(50)]);
-        }
-    }
 
     #[test]
     fn timer_slab_reuses_slots() {
@@ -1622,95 +397,6 @@ mod proptests {
                 prop_assert!(slab.retire(id));
                 prop_assert!(!slab.retire(id));
             }
-        }
-    }
-
-    /// One scripted reaction to a timer firing: cancel some still-pending
-    /// timers (picked by index into the live list), then arm new ones with
-    /// the given delays (microseconds; zero means "this same instant").
-    #[derive(Debug, Clone)]
-    struct ScriptStep {
-        cancels: Vec<usize>,
-        delays: Vec<u64>,
-    }
-
-    /// A node that replays a [`ScriptStep`] script, one step per timer
-    /// firing, recording the observable `(time, token)` trace.
-    struct ScriptNode {
-        script: Vec<ScriptStep>,
-        step: usize,
-        live: Vec<(u64, TimerId)>,
-        next_token: u64,
-        fired: Vec<(SimTime, u64)>,
-    }
-
-    impl ScriptNode {
-        fn new(script: Vec<ScriptStep>) -> Self {
-            ScriptNode { script, step: 0, live: Vec::new(), next_token: 0, fired: Vec::new() }
-        }
-
-        fn arm(&mut self, ctx: &mut Ctx<'_, ()>, delay_us: u64) {
-            let token = self.next_token;
-            self.next_token += 1;
-            let id = ctx.set_timer(SimDuration::from_micros(delay_us), token);
-            self.live.push((token, id));
-        }
-    }
-
-    impl SimNode for ScriptNode {
-        type Msg = ();
-        fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
-            self.arm(ctx, 1);
-        }
-        fn on_packet(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: ()) {}
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, token: u64) {
-            self.fired.push((ctx.now(), token));
-            self.live.retain(|&(t, _)| t != token);
-            let Some(step) = self.script.get(self.step).cloned() else { return };
-            self.step += 1;
-            for k in step.cancels {
-                if self.live.is_empty() {
-                    break;
-                }
-                let (_, id) = self.live.remove(k % self.live.len());
-                ctx.cancel_timer(id);
-            }
-            for d in step.delays {
-                self.arm(ctx, d);
-            }
-        }
-    }
-
-    fn arb_script_step() -> impl Strategy<Value = ScriptStep> {
-        (proptest::collection::vec(0usize..8, 0..3), proptest::collection::vec(0u64..5_000, 0..4))
-            .prop_map(|(cancels, delays)| ScriptStep { cancels, delays })
-    }
-
-    proptest! {
-        /// Differential: random interleaved timer schedule/cancel/fire
-        /// scripts observe the identical `(time, token)` trace and
-        /// counters on the timing-wheel simulator and the heap-based
-        /// reference (which also uses the historical tombstone-set
-        /// cancellation path).
-        #[test]
-        fn timer_scripts_match_reference(
-            script in proptest::collection::vec(arb_script_step(), 0..30),
-        ) {
-            fn run(script: Vec<ScriptStep>, reference: bool) -> (Vec<(SimTime, u64)>, NetCounters) {
-                let topo = crate::topology::presets::paper_region(1);
-                let nodes = vec![ScriptNode::new(script)];
-                let mut sim = if reference {
-                    Sim::new_reference(topo, nodes, 77)
-                } else {
-                    Sim::new(topo, nodes, 77)
-                };
-                sim.run_until_quiescent(SimTime::MAX);
-                let fired = sim.node(NodeId(0)).fired.clone();
-                (fired, sim.counters())
-            }
-            let optimized = run(script.clone(), false);
-            let reference = run(script, true);
-            prop_assert_eq!(optimized, reference);
         }
     }
 }

@@ -4,8 +4,8 @@
 # Builds the workspace in release mode, runs the criterion microbenchmarks
 # (human-readable), then the sim_core differential benchmark, which writes
 # BENCH_sim_core.json at the repository root: events/sec, multicasts/sec,
-# and queue ops/sec for the optimized timing-wheel event loop vs the
-# pre-refactor reference implementation, plus a peak-RSS proxy. The
+# and queue ops/sec for the optimized simulator paths vs baselines with
+# the pre-refactor costs, plus a peak-RSS proxy. The
 # parallel_regions workload sweeps the sharded engine over shard counts
 # 1/2/4/8 on a 32-region / 2048-member topology (events/sec per count on
 # stderr; the JSON records 4 shards vs the sequential shards=1 oracle,
